@@ -9,6 +9,8 @@ keeps its old bounds.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .capability import Capability, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
@@ -29,6 +31,21 @@ def _round_up(n: int) -> int:
 
 def _overlaps(base: int, length: int, lo: int, hi: int) -> bool:
     return max(base, lo) < min(base + length, hi)
+
+
+def _coalesce(regions) -> list[tuple[int, int]]:
+    """Sort (base, length) regions and merge those that touch or overlap
+    into disjoint spans, dropping empty ones."""
+    merged: list[tuple[int, int]] = []
+    for base, length in sorted(regions):
+        if length <= 0:
+            continue
+        if merged and base <= merged[-1][0] + merged[-1][1]:
+            pb, pl = merged[-1]
+            merged[-1] = (pb, max(pl, base + length - pb))
+        else:
+            merged.append((base, length))
+    return merged
 
 
 class CapAllocator:
@@ -53,18 +70,9 @@ class CapAllocator:
                 return base
         raise OutOfMemory(f"no free region of {size} bytes")
 
-    def _release(self, base: int, length: int) -> None:
-        self.free_list.append((base, length))
-        self.free_list.sort()
-        # coalesce adjacent regions
-        merged: list[tuple[int, int]] = []
-        for b, l in self.free_list:
-            if merged and merged[-1][0] + merged[-1][1] == b:
-                pb, pl = merged[-1]
-                merged[-1] = (pb, pl + l)
-            else:
-                merged.append((b, l))
-        self.free_list = merged
+    def _release(self, *regions: tuple[int, int]) -> None:
+        """Return (base, length) regions to the free list in one merge."""
+        self.free_list = _coalesce(self.free_list + list(regions))
 
     # -- public surface ------------------------------------------------
 
@@ -84,16 +92,29 @@ class CapAllocator:
 
     def revoke(self) -> int:
         """Sweep memory: clear the tag of every stored capability whose
-        bounds intersect quarantine, then recycle the regions."""
+        bounds intersect quarantine, then recycle the regions.
+
+        A capability is revoked when [base, top) intersects a quarantined
+        region, not only when its base lies inside one: a capability
+        whose base is outside the region still reaches into it.  Empty or
+        inverted bounds reach nothing and survive.  The quarantine is
+        coalesced into sorted disjoint spans once; each tagged capability
+        then bisects the span ends for the one span that can intersect
+        it.  With T tagged granules, Q quarantined regions and F free-list
+        entries the sweep costs O(T log Q + Q log Q + F).  Returns the
+        number of tags cleared.
+        """
+        spans = _coalesce(self.quarantine)
+        ends = [base + length for base, length in spans]
         cleared = 0
-        for addr, cap in list(self.mem.iter_tagged()):
-            for qbase, qlen in self.quarantine:
-                if _overlaps(qbase, qlen, cap.base, cap.top):
-                    self.mem.clear_granule_tag(addr)
-                    cleared += 1
-                    break
-        for qbase, qlen in self.quarantine:
-            self._release(qbase, qlen)
+        for addr, cap in self.mem.iter_tagged():
+            # the first span ending after cap.base; earlier spans end at
+            # or before it, and a later one can intersect only if this does
+            i = bisect_right(ends, cap.base)
+            if i < len(spans) and _overlaps(*spans[i], cap.base, cap.top):
+                self.mem.clear_granule_tag(addr)
+                cleared += 1
+        self._release(*spans)
         self.quarantine = []
         self.epoch += 1
         return cleared
@@ -107,7 +128,7 @@ class CapAllocator:
             return set_address(set_bounds(self.arena, old.base, size), old.address)
         if size < old_size:
             self.live[old.base] = size
-            self._release(old.base + size, old_size - size)
+            self._release((old.base + size, old_size - size))
             return set_address(set_bounds(self.arena, old.base, size), old.address)
         # growth: try in place first
         extra = size - old_size

@@ -143,15 +143,15 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
                mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
     """Narrow bounds to [new_base, new_base+new_length); address = new_base.
 
-    A non-monotonic request (or an untagged input) yields the requested
-    capability with the tag cleared.  Sealed tagged input follows the
-    seal-semantics mode.
+    A non-monotonic request (bounds outside the source's, or a negative
+    length) or an untagged input yields the requested capability with
+    the tag cleared.  Sealed tagged input follows the seal-semantics mode.
     """
     new_top = new_base + new_length
     if cap.tag and cap.seal is not SealState.UNSEALED:
         return _sealed_modify(cap, mode, "set_bounds",
                               address=new_base, base=new_base, top=new_top)
-    ok = cap.tag and cap.base <= new_base and new_top <= cap.top
+    ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
     return replace(cap, tag=ok, address=new_base, base=new_base, top=new_top)
 
 

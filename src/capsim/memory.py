@@ -1,10 +1,14 @@
 """Byte-addressable memory with per-granule validity tags.
 
-Every 16-byte aligned granule carries one tag bit.  A granule holding a
-valid capability keeps the full metadata on the side; any plain byte
-write into the granule clears its tag.  Pages have their own permission
-table and an mprotect-style protection call that models tag stripping on
-access restoration.
+Every 16-byte aligned granule carries one tag bit.  The side table
+`granule_caps` holds the full capability of each tagged granule and
+nothing else: a granule is tagged exactly when it has an entry, so
+clearing a tag removes the entry and a sweep visits only tagged
+granules.  Any plain byte write into a granule clears its tag.  Pages
+have their own permission table and an mprotect-style protection call
+that models tag stripping on access restoration.  An access that passes
+its capability check but reaches past the end of memory faults as
+unmapped.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ class TaggedMemory:
             raise ValueError("size must be a positive multiple of the page size")
         self.size = size
         self.data = bytearray(size)
-        self.tags = [False] * (size // GRANULE)
+        # granule index -> capability, for tagged granules only
         self.granule_caps: dict[int, Capability] = {}
         self.page_perms = [PERM_ALL] * (size // PAGE)
         # set while a page has neither LOAD nor STORE; consulted when
@@ -53,6 +57,11 @@ class TaggedMemory:
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
         check_access(replace(authority, address=addr), kind, size)
+        if addr + size > self.size:
+            raise CapFault(
+                FaultKind.PERMISSION,
+                f"[{addr:#x},{addr + size:#x}) unmapped",
+            )
         for page in range(addr // PAGE, (addr + size - 1) // PAGE + 1):
             if kind not in self.page_perms[page]:
                 raise CapFault(
@@ -66,16 +75,18 @@ class TaggedMemory:
         self._check(authority, addr, Perm.STORE, GRANULE)
         g = addr // GRANULE
         self.data[addr:addr + GRANULE] = value.encode()
-        self.tags[g] = value.tag
-        self.granule_caps[g] = value
+        if value.tag:
+            self.granule_caps[g] = value
+        else:
+            self.granule_caps.pop(g, None)
 
     def load_cap(self, authority: Capability, addr: int) -> Capability:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, f"capability load at {addr:#x}")
         self._check(authority, addr, Perm.LOAD, GRANULE)
-        g = addr // GRANULE
-        if self.tags[g]:
-            return self.granule_caps[g]
+        cap = self.granule_caps.get(addr // GRANULE)
+        if cap is not None:
+            return cap
         # untagged granule: the low 64 bits load as a pointer-like integer
         low = struct.unpack_from("<Q", self.data, addr)[0]
         return Capability(tag=False, address=low, base=0, top=0, perms=PERM_NONE)
@@ -84,7 +95,7 @@ class TaggedMemory:
         self._check(authority, addr, Perm.STORE, len(payload))
         self.data[addr:addr + len(payload)] = payload
         for g in range(addr // GRANULE, (addr + len(payload) - 1) // GRANULE + 1):
-            self.tags[g] = False
+            self.granule_caps.pop(g, None)
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:
         self._check(authority, addr, Perm.LOAD, n)
@@ -104,7 +115,7 @@ class TaggedMemory:
                 if not req.prot_cap:
                     base = page * PAGE
                     for g in range(base // GRANULE, (base + PAGE) // GRANULE):
-                        self.tags[g] = False
+                        self.granule_caps.pop(g, None)
                 self._strip_pending[page] = False
             self.page_perms[page] = req.perms
             if not req.perms & access:
@@ -113,13 +124,14 @@ class TaggedMemory:
     # -- raw inspection (runtime sweeps and test oracles) --------------
 
     def iter_tagged(self) -> Iterator[tuple[int, Capability]]:
-        """Yield (granule base address, capability) for every tagged granule."""
-        for g, tagged in enumerate(self.tags):
-            if tagged:
-                yield g * GRANULE, self.granule_caps[g]
+        """Yield (granule base address, capability) for every tagged granule
+        in ascending address order.  The granules are read when iteration
+        starts, so the consumer may clear tags as it goes."""
+        for g, cap in sorted(self.granule_caps.items()):
+            yield g * GRANULE, cap
 
     def clear_granule_tag(self, addr: int) -> None:
-        self.tags[addr // GRANULE] = False
+        self.granule_caps.pop(addr // GRANULE, None)
 
     def granule_tag(self, addr: int) -> bool:
-        return self.tags[addr // GRANULE]
+        return addr // GRANULE in self.granule_caps

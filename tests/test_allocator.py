@@ -2,10 +2,11 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capsim.allocator import AllocError, CapAllocator, OutOfMemory
-from capsim.capability import CapFault, FaultKind, Perm, make_root, set_address
-from capsim.memory import PAGE, TaggedMemory
+from capsim.capability import CapFault, Capability, FaultKind, Perm, make_root, set_address
+from capsim.memory import GRANULE, PAGE, TaggedMemory
 
 ARENA_BASE, ARENA_SIZE = 0x1000, 0x4000
 
@@ -179,3 +180,120 @@ def test_randomized_interleavings_disjoint_and_quarantine_excluded(setup):
         else:
             alloc.revoke()
         _check_disjoint(alloc)
+
+
+def _check_arena_conserved(alloc):
+    free = alloc.free_list
+    assert free == sorted(free)
+    for (b1, l1), (b2, l2) in zip(free, free[1:]):
+        assert b1 + l1 < b2, "free list overlaps or is not coalesced"
+    total = (sum(alloc.live.values()) + sum(l for _, l in free)
+             + sum(l for _, l in alloc.quarantine))
+    assert total == alloc.arena.length
+
+
+def test_randomized_arena_conservation(setup):
+    mem, alloc = setup
+    rng = random.Random(11)
+    live = []
+    for _ in range(1500):
+        action = rng.random()
+        try:
+            if action < 0.35:
+                live.append(alloc.malloc(rng.randrange(1, 300)))
+            elif action < 0.55 and live:
+                alloc.free(live.pop(rng.randrange(len(live))))
+            elif action < 0.9 and live:
+                i = rng.randrange(len(live))
+                old = live[i]
+                # shrink or grow, in roughly equal measure
+                n = rng.randrange(1, old.length) if rng.random() < 0.5 and old.length > 16 \
+                    else rng.randrange(old.length + 1, old.length + 300)
+                live[i] = alloc.realloc(old, n)
+            else:
+                alloc.revoke()
+        except OutOfMemory:
+            pass
+        _check_arena_conserved(alloc)
+
+
+# -- revoke equivalence against a brute-force all-pairs oracle -------------
+
+SLOTS = ARENA_BASE + ARENA_SIZE  # capabilities are stored past the arena
+
+
+def _oracle_revoked(stored, quarantine):
+    """Slot addresses whose capability's bounds intersect any quarantined region."""
+    return {addr for addr, cap in stored.items()
+            if any(max(cap.base, qb) < min(cap.top, qb + ql) for qb, ql in quarantine)}
+
+
+def _revoke_and_compare(mem, alloc, stored):
+    quarantine = list(alloc.quarantine)
+    expected = _oracle_revoked(stored, quarantine)
+    assert alloc.revoke() == len(expected)
+    for addr in stored:
+        assert mem.granule_tag(addr) == (addr not in expected), hex(addr)
+
+
+def _store(mem, bounds, order=None):
+    """Store a tagged capability with each (base, top) in its own slot."""
+    auth = make_root(0, mem.size, Perm.LOAD | Perm.STORE)
+    stored = {}
+    for i in order if order is not None else range(len(bounds)):
+        base, top = bounds[i]
+        addr = SLOTS + i * GRANULE
+        stored[addr] = Capability(tag=True, address=base, base=base, top=top,
+                                  perms=Perm.LOAD | Perm.STORE)
+        mem.store_cap(auth, addr, stored[addr])
+    return stored
+
+
+def test_revoke_bounds_edges(setup):
+    mem, alloc = setup
+    a, b, c, d = (alloc.malloc(64) for _ in range(4))
+    alloc.free(a)
+    alloc.free(b)  # adjacent to a: one span [a.base, b.top)
+    alloc.free(d)  # c stays live between the spans
+    cases = {
+        (a.base, a.base + 1): True,        # inside the first freed object
+        (b.top - 1, b.top): True,          # last byte of the coalesced span
+        (b.top, c.top): False,             # starts where the span ends
+        (b.top, d.base + 1): True,         # starts at a span's end, reaches the next span
+        (c.base, d.base): False,           # ends where the second span starts
+        (c.base, c.base): False,           # zero length
+        (b.base, b.base): False,           # zero length inside quarantine
+        (b.top, a.base): False,            # inverted
+        (c.base, 1 << 64): True,           # top == 2**64 reaches d
+        (d.top, 1 << 64): False,           # top == 2**64 past every span
+        (0, 1 << 64): True,                # whole address space
+        (a.base - 16, d.top + 16): True,   # spans live and freed objects
+    }
+    stored = _store(mem, list(cases))
+    _revoke_and_compare(mem, alloc, stored)
+    for addr, (bounds, revoked) in zip(stored, cases.items()):
+        assert mem.granule_tag(addr) is not revoked, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_revoke_matches_all_pairs_oracle(data):
+    mem = TaggedMemory(8 * PAGE)
+    alloc = CapAllocator(mem, make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE))
+    objs = [alloc.malloc(n) for n in data.draw(st.lists(st.integers(1, 96), min_size=1, max_size=12))]
+    for i in data.draw(st.lists(st.sampled_from(range(len(objs))), unique=True)):
+        alloc.free(objs[i])
+
+    edges = sorted({e for o in objs for e in (o.base, o.top)} | {0, 1 << 64})
+    point = st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from(edges).flatmap(lambda e: st.integers(max(0, e - 17), e + 17)),
+        st.integers(0, 1 << 64),
+    )
+    bounds = data.draw(st.lists(st.tuples(point, point), max_size=24))
+    order = data.draw(st.permutations(range(len(bounds))))
+    stored = _store(mem, bounds, order)
+
+    addrs = [addr for addr, _ in mem.iter_tagged()]
+    assert addrs == sorted(stored)
+    _revoke_and_compare(mem, alloc, stored)

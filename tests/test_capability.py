@@ -76,6 +76,11 @@ class TestSetBounds:
         c = cap().untagged()
         assert not set_bounds(c, c.base + 16, 16).tag
 
+    def test_negative_length_clears_tag(self):
+        out = set_bounds(make_root(0, 4096, LD), 64, -32)
+        assert not out.tag
+        assert (out.base, out.top) == (64, 32)
+
     def test_sealed_fault_mode(self):
         sealed = seal_entry(make_root(0x1000, 0x100, EX))
         with pytest.raises(CapFault) as exc:

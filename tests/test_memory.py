@@ -89,6 +89,21 @@ def test_authority_without_store_perm(mem):
     assert exc.value.kind is FaultKind.PERMISSION
 
 
+@pytest.mark.parametrize("access", [
+    lambda m, a: m.load_bytes(a, PAGE - 8, 16),
+    lambda m, a: m.store_bytes(a, PAGE - 8, b"x" * 16),
+    lambda m, a: m.load_cap(a, PAGE),
+    lambda m, a: m.store_cap(a, PAGE, make_root(0, 16, LD)),
+], ids=["load_bytes", "store_bytes", "load_cap", "store_cap"])
+def test_access_past_end_of_memory_faults_unmapped(access):
+    small = TaggedMemory(PAGE)
+    wide = make_root(0, 2 * PAGE, LD | ST)
+    with pytest.raises(CapFault) as exc:
+        access(small, wide)
+    assert exc.value.kind is FaultKind.PERMISSION
+    assert "unmapped" in exc.value.detail
+
+
 class TestMprotect:
     def test_strip_without_prot_cap(self, mem, auth):
         mem.store_cap(auth, PAGE, make_root(0x100, 0x40, LD))
