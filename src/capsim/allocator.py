@@ -5,13 +5,15 @@ an explicit revocation sweep clears the tag of every stored capability
 whose bounds intersect a quarantined region, after which the regions
 become reusable.  realloc follows capability semantics: the returned
 capability is always a fresh derivation and the caller's old capability
-keeps its old bounds.
+keeps its old bounds.  free and realloc require a tagged, unsealed
+capability whose base is that of a live allocation, so bits that merely
+look like a pointer cannot release or resize an object.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .capability import Capability, set_address, set_bounds
+from .capability import Capability, SealState, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
@@ -27,6 +29,11 @@ class OutOfMemory(AllocError):
 
 def _round_up(n: int) -> int:
     return (n + ALIGN - 1) // ALIGN * ALIGN
+
+
+def _require_authority(cap: Capability, what: str) -> None:
+    if not cap.tag or cap.seal is not SealState.UNSEALED:
+        raise AllocError(f"{what} through an untagged or sealed capability @{cap.base:#x}")
 
 
 def _overlaps(base: int, length: int, lo: int, hi: int) -> bool:
@@ -85,6 +92,7 @@ class CapAllocator:
         return set_bounds(self.arena, base, size)
 
     def free(self, cap: Capability) -> None:
+        _require_authority(cap, "free")
         size = self.live.pop(cap.base, None)
         if size is None:
             raise AllocError(f"free of unknown or already-freed base {cap.base:#x}")
@@ -120,6 +128,7 @@ class CapAllocator:
         return cleared
 
     def realloc(self, old: Capability, n: int) -> Capability:
+        _require_authority(old, "realloc")
         old_size = self.live.get(old.base)
         if old_size is None:
             raise AllocError(f"realloc of unknown base {old.base:#x}")

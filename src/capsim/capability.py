@@ -9,11 +9,11 @@ inherits metadata from the capability operand.
 from __future__ import annotations
 
 import enum
-import hashlib
 import struct
 from dataclasses import dataclass, replace
 
 MASK64 = (1 << 64) - 1
+MASK32 = (1 << 32) - 1
 
 # Usable value bits of a capability-typed integer; the upper storage half
 # is padding (metadata), never value bits.
@@ -83,7 +83,7 @@ class WordModel(enum.Enum):
         return self.value * 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Capability:
     """Tagged fat value: address, bounds [base, top), perms, seal, tag.
 
@@ -106,13 +106,20 @@ class Capability:
         return replace(self, tag=False, **changes)
 
     def encode(self) -> bytes:
-        """The 16-byte in-memory pattern: low 8 = address, high 8 = metadata."""
-        meta = hashlib.blake2b(
-            struct.pack("<QQQB B", self.base & MASK64, self.top & MASK64,
-                        self.top >> 64, self.perms.value, 1 if self.seal is SealState.SEALED_ENTRY else 0),
-            digest_size=8,
-        ).digest()
-        return struct.pack("<Q", self.address & MASK64) + meta
+        """The 16-byte in-memory pattern: low 8 = address, high 8 = metadata.
+
+        The metadata word is `hash()` of a tuple of ints: base and top
+        split into 32-bit halves, the permission bits and the seal bit.
+        CPython never salts int or tuple hashes, so the word is the same
+        in every process whatever PYTHONHASHSEED is.  For bounds inside
+        the address space every element is below 2**33 and hashes to
+        itself, and the tuple hash is one-to-one in each element, so
+        changing any one of base, top, perms or seal changes the word.
+        """
+        base, top = self.base, self.top
+        meta = hash((base & MASK32, base >> 32, top & MASK32, top >> 32,
+                     self.perms.value, self.seal is SealState.SEALED_ENTRY))
+        return struct.pack("<QQ", self.address & MASK64, meta & MASK64)
 
 
 # A capability used in integer context (pointer-sized integer) is the
@@ -133,10 +140,12 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
     return Capability(tag=True, address=base, base=base, top=base + length, perms=perms)
 
 
-def _sealed_modify(cap: Capability, mode: SealMode, what: str, **changes) -> Capability:
+def _sealed_modify(mode: SealMode, what: str) -> bool:
+    """The tag of a value derived from a tagged sealed capability: a seal
+    fault under FAULT_ON_MODIFY, a cleared tag under INVALIDATE_ON_MODIFY."""
     if mode is SealMode.FAULT_ON_MODIFY:
         raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
-    return cap.untagged(**changes)
+    return False
 
 
 def set_bounds(cap: Capability, new_base: int, new_length: int,
@@ -149,19 +158,20 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     """
     new_top = new_base + new_length
     if cap.tag and cap.seal is not SealState.UNSEALED:
-        return _sealed_modify(cap, mode, "set_bounds",
-                              address=new_base, base=new_base, top=new_top)
-    ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
-    return replace(cap, tag=ok, address=new_base, base=new_base, top=new_top)
+        ok = _sealed_modify(mode, "set_bounds")
+    else:
+        ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
+    return Capability(ok, new_base, new_base, new_top, cap.perms, cap.seal)
 
 
 def restrict_perms(cap: Capability, perms: Perm,
                    mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
     """Drop permissions; widening (or untagged input) clears the tag."""
     if cap.tag and cap.seal is not SealState.UNSEALED:
-        return _sealed_modify(cap, mode, "restrict_perms", perms=perms)
-    ok = cap.tag and (perms & cap.perms) == perms
-    return replace(cap, tag=ok, perms=perms)
+        ok = _sealed_modify(mode, "restrict_perms")
+    else:
+        ok = cap.tag and (perms & cap.perms) == perms
+    return Capability(ok, cap.address, cap.base, cap.top, perms, cap.seal)
 
 
 def set_address(cap: Capability, addr: int,
@@ -169,36 +179,43 @@ def set_address(cap: Capability, addr: int,
     """Move the address.  Out-of-bounds addresses keep the tag; bounds are
     enforced only at access time."""
     addr &= MASK64
-    if cap.tag and cap.seal is not SealState.UNSEALED:
-        return _sealed_modify(cap, mode, "set_address", address=addr)
-    return replace(cap, address=addr)
+    tag = cap.tag
+    if tag and cap.seal is not SealState.UNSEALED:
+        tag = _sealed_modify(mode, "set_address")
+    return Capability(tag, addr, cap.base, cap.top, cap.perms, cap.seal)
 
 
 def seal_entry(cap: Capability) -> Capability:
     """Seal an executable capability.  Inputs without tag or EXECUTE yield
     an untagged result; a tag is never conjured."""
     ok = cap.tag and cap.seal is SealState.UNSEALED and Perm.EXECUTE in cap.perms
-    return replace(cap, tag=ok, seal=SealState.SEALED_ENTRY)
+    return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
 
 
-def check_access(cap: Capability, kind: Perm, size: int) -> None:
-    """Validate an access of `size` bytes at cap.address.
+def check_access(cap: Capability, kind: Perm, size: int,
+                 address: int | None = None) -> None:
+    """Validate an access of `size` bytes at `address` (default cap.address).
 
-    Check order is fixed: tag, seal, permission, bounds.  Raises CapFault
-    on the first failing check.
+    Decides exactly as if `cap` had first been moved to `address` without
+    masking, e.g. by `dataclasses.replace(cap, address=address)`; the
+    fault details name that address.  Check order is fixed: tag, seal,
+    permission, bounds.  Raises CapFault on the first failing check, or
+    ValueError when `size` is below 1.
     """
+    if address is None:
+        address = cap.address
     if size < 1:
         raise ValueError("access size must be >= 1")
     if not cap.tag:
-        raise CapFault(FaultKind.TAG, f"untagged capability @{cap.address:#x}")
+        raise CapFault(FaultKind.TAG, f"untagged capability @{address:#x}")
     if cap.seal is not SealState.UNSEALED:
-        raise CapFault(FaultKind.SEAL, f"sealed capability @{cap.address:#x}")
+        raise CapFault(FaultKind.SEAL, f"sealed capability @{address:#x}")
     if kind not in cap.perms:
         raise CapFault(FaultKind.PERMISSION, f"{kind.name} not permitted")
-    if not (cap.base <= cap.address and cap.address + size <= cap.top):
+    if not (cap.base <= address and address + size <= cap.top):
         raise CapFault(
             FaultKind.BOUNDS,
-            f"[{cap.address:#x},{cap.address + size:#x}) outside [{cap.base:#x},{cap.top:#x})",
+            f"[{address:#x},{address + size:#x}) outside [{cap.base:#x},{cap.top:#x})",
         )
 
 
@@ -250,9 +267,10 @@ def capint_binop(lhs, rhs, op: str,
     else:
         raise ValueError(f"unknown operation {op!r}")
 
-    if source.tag and source.seal is not SealState.UNSEALED:
-        return _sealed_modify(source, mode, f"binop {op}", address=value)
-    return replace(source, address=value)
+    tag = source.tag
+    if tag and source.seal is not SealState.UNSEALED:
+        tag = _sealed_modify(mode, f"binop {op}")
+    return Capability(tag, value, source.base, source.top, source.perms, source.seal)
 
 
 def capint_to_int64(v: CapInt) -> int:

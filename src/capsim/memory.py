@@ -1,19 +1,22 @@
 """Byte-addressable memory with per-granule validity tags.
 
-Every 16-byte aligned granule carries one tag bit.  The side table
-`granule_caps` holds the full capability of each tagged granule and
-nothing else: a granule is tagged exactly when it has an entry, so
-clearing a tag removes the entry and a sweep visits only tagged
-granules.  Any plain byte write into a granule clears its tag.  Pages
-have their own permission table and an mprotect-style protection call
-that models tag stripping on access restoration.  An access that passes
-its capability check but reaches past the end of memory faults as
-unmapped.
+Every load and store names an authorising capability and an address;
+the capability is checked at that address in place (`check_access` with
+an explicit address: tag, seal, permission, bounds), so no moved copy of
+it is derived per access.  Every 16-byte aligned granule carries one tag
+bit.  The side table `granule_caps` holds the full capability of each
+tagged granule and nothing else: a granule is tagged exactly when it has
+an entry, so clearing a tag removes the entry and a sweep visits only
+tagged granules.  Any plain byte write into a granule clears its tag.
+Pages have their own permission table and an mprotect-style protection
+call that models tag stripping on access restoration.  An access that
+passes its capability check but reaches past the end of memory faults
+as unmapped.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .capability import (
@@ -56,7 +59,7 @@ class TaggedMemory:
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
-        check_access(replace(authority, address=addr), kind, size)
+        check_access(authority, kind, size, addr)
         if addr + size > self.size:
             raise CapFault(
                 FaultKind.PERMISSION,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capsim.allocator import AllocError, CapAllocator, OutOfMemory
-from capsim.capability import CapFault, Capability, FaultKind, Perm, make_root, set_address
+from capsim.capability import (
+    CapFault, Capability, FaultKind, Perm, SealState, make_root, seal_entry, set_address,
+)
 from capsim.memory import GRANULE, PAGE, TaggedMemory
 
 ARENA_BASE, ARENA_SIZE = 0x1000, 0x4000
@@ -153,6 +155,56 @@ class TestRealloc:
         _, alloc = setup
         old = alloc.malloc(32)
         assert alloc.realloc(old, 50).length == 64
+
+
+# Capabilities whose base is that of a live object but which carry no
+# authority over it: free and realloc must refuse them and change nothing.
+FORGERIES = {
+    "untagged-copy": lambda b: b.untagged(),
+    "untagged-root": lambda b: make_root(b.base, 32, Perm.LOAD).untagged(),
+    "sealed": seal_entry,
+    "sealed-untagged": lambda b: seal_entry(b).untagged(),
+}
+
+
+@pytest.fixture
+def exec_setup():
+    """An arena with EXECUTE, so that seal_entry of an object keeps its tag."""
+    mem = TaggedMemory(8 * PAGE)
+    arena = make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE | Perm.EXECUTE)
+    return mem, CapAllocator(mem, arena)
+
+
+def _allocator_state(alloc):
+    return dict(alloc.live), list(alloc.free_list), list(alloc.quarantine)
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES)
+def test_free_rejects_capability_without_authority(exec_setup, forge):
+    _, alloc = exec_setup
+    b = alloc.malloc(32)
+    forged = forge(b)
+    assert forged.base == b.base
+    assert not forged.tag or forged.seal is SealState.SEALED_ENTRY
+    before = _allocator_state(alloc)
+    with pytest.raises(AllocError):
+        alloc.free(forged)
+    assert _allocator_state(alloc) == before
+    alloc.free(b)
+    assert alloc.quarantine == [(b.base, 32)]
+
+
+@pytest.mark.parametrize("n", [16, 32, 48], ids=["shrink", "equal", "move"])
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES)
+def test_realloc_rejects_capability_without_authority(exec_setup, forge, n):
+    _, alloc = exec_setup
+    b = alloc.malloc(32)
+    alloc.malloc(32)  # blocks in-place growth
+    before = _allocator_state(alloc)
+    with pytest.raises(AllocError):
+        alloc.realloc(forge(b), n)
+    assert _allocator_state(alloc) == before
+    assert alloc.realloc(b, n).tag
 
 
 def _check_disjoint(alloc):

@@ -1,7 +1,15 @@
+import os
 import random
+import struct
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import capsim
 
 from capsim.capability import (
     MASK64,
@@ -330,3 +338,240 @@ def test_seal_mode_duality():
         with pytest.raises(CapFault) as exc:
             check_access(c, LD, 1)
         assert exc.value.kind is FaultKind.SEAL
+
+
+# -- in-place checks and direct derivations against replace() ----------
+
+ADDRESS_SPACE = 1 << 64
+BINOPS = ["add", "sub", "and", "or", "xor", "shl", "shr"]
+any_perms = st.sampled_from([PERM_NONE, LD, ST, EX, LD | ST, LD | EX, ST | EX, PERM_ALL])
+seal_states = st.sampled_from(list(SealState))
+seal_modes = st.sampled_from(list(SealMode))
+
+
+@st.composite
+def any_caps(draw):
+    """Capabilities in any state: untagged, sealed, any permissions, and
+    bounds that may be empty or inverted."""
+    base = draw(st.integers(0, MASK64))
+    top = draw(st.one_of(st.integers(base, min(base + 256, ADDRESS_SPACE)),
+                         st.integers(0, ADDRESS_SPACE)))
+    address = draw(st.one_of(st.integers(min(base, top) - 32, max(base, top) + 32),
+                             st.integers(0, MASK64)))
+    return Capability(tag=draw(st.booleans()), address=address, base=base, top=top,
+                      perms=draw(any_perms), seal=draw(seal_states))
+
+
+def near(c):
+    """Addresses around c's bounds, plus ones outside the address space."""
+    return st.one_of(st.integers(c.base - 32, c.base + 32), st.integers(c.top - 32, c.top + 32),
+                     st.integers(-ADDRESS_SPACE, -1), st.integers(ADDRESS_SPACE, 4 * ADDRESS_SPACE),
+                     st.integers(0, MASK64))
+
+
+def outcome(fn, *args):
+    """What a call did: its result, or the kind and text of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except CapFault as f:
+        return ("fault", f.kind, f.detail)
+    except ValueError as e:
+        return ("value", str(e))
+
+
+@settings(max_examples=400)
+@given(any_caps(), st.sampled_from([LD, ST, EX, LD | ST]), st.integers(-2, 64), st.data())
+def test_check_access_at_address_matches_moved_capability(c, kind, size, data):
+    a = data.draw(near(c))
+    assert outcome(check_access, c, kind, size, a) == \
+        outcome(check_access, replace(c, address=a), kind, size)
+
+
+WHOLE = make_root(0, ADDRESS_SPACE, LD)
+
+
+@pytest.mark.parametrize("c, kind, size, a, expected", [
+    (cap().untagged(), LD, 8, 0x1000, FaultKind.TAG),
+    (seal_entry(make_root(0x1000, 0x100, EX | LD)), LD, 8, 0x1010, FaultKind.SEAL),
+    (cap(perms=LD), ST, 8, 0x1000, FaultKind.PERMISSION),
+    (cap(), LD, 16, 0x1FF8, FaultKind.BOUNDS),
+    (cap(), LD, 1, 0xFFF, FaultKind.BOUNDS),
+    (cap(), LD, 8, -8, FaultKind.BOUNDS),
+    (WHOLE, LD, 8, -1, FaultKind.BOUNDS),
+    (WHOLE, LD, 1, ADDRESS_SPACE, FaultKind.BOUNDS),
+    (WHOLE, LD, 8, ADDRESS_SPACE - 8, None),
+    (cap(), LD, 0, 0x1000, ValueError),
+    (cap().untagged(), LD, -1, 0x1000, ValueError),
+    (cap(), LD, 8, 0x1008, None),
+])
+def test_check_access_edge_cases_match_moved_capability(c, kind, size, a, expected):
+    got = outcome(check_access, c, kind, size, a)
+    assert got == outcome(check_access, replace(c, address=a), kind, size)
+    assert got[0] == {None: "ok", ValueError: "value"}.get(expected, "fault")
+    if got[0] == "fault":
+        assert got[1] is expected
+        if expected is not FaultKind.PERMISSION:  # the only detail without an address
+            assert f"{a:#x}" in got[2]
+
+
+# replace()-based derivations, as capsim.capability wrote them before it
+# built results directly; the direct versions must agree on every input
+
+def ref_sealed_modify(cap, mode, what, **changes):
+    if mode is SealMode.FAULT_ON_MODIFY:
+        raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
+    return replace(cap, tag=False, **changes)
+
+
+def ref_set_bounds(cap, new_base, new_length, mode):
+    new_top = new_base + new_length
+    if cap.tag and cap.seal is not SealState.UNSEALED:
+        return ref_sealed_modify(cap, mode, "set_bounds",
+                                 address=new_base, base=new_base, top=new_top)
+    ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
+    return replace(cap, tag=ok, address=new_base, base=new_base, top=new_top)
+
+
+def ref_restrict_perms(cap, perms, mode):
+    if cap.tag and cap.seal is not SealState.UNSEALED:
+        return ref_sealed_modify(cap, mode, "restrict_perms", perms=perms)
+    ok = cap.tag and (perms & cap.perms) == perms
+    return replace(cap, tag=ok, perms=perms)
+
+
+def ref_set_address(cap, addr, mode):
+    addr &= MASK64
+    if cap.tag and cap.seal is not SealState.UNSEALED:
+        return ref_sealed_modify(cap, mode, "set_address", address=addr)
+    return replace(cap, address=addr)
+
+
+def ref_seal_entry(cap):
+    ok = cap.tag and cap.seal is SealState.UNSEALED and Perm.EXECUTE in cap.perms
+    return replace(cap, tag=ok, seal=SealState.SEALED_ENTRY)
+
+
+REF_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: 0 if b >= 64 else a << b,
+    "shr": lambda a, b: 0 if b >= 64 else a >> b,
+}
+
+
+def ref_capint_binop(lhs, rhs, op, mode, advisories):
+    lcap, rcap = isinstance(lhs, Capability), isinstance(rhs, Capability)
+    source = lhs if lcap else rhs
+    if lcap and rcap:
+        advisories.append("ambiguous-provenance")
+    a = lhs.address if lcap else lhs & MASK64
+    b = rhs.address if rcap else rhs & MASK64
+    value = REF_OPS[op](a, b) & MASK64
+    if source.tag and source.seal is not SealState.UNSEALED:
+        return ref_sealed_modify(source, mode, f"binop {op}", address=value)
+    return replace(source, address=value)
+
+
+def same_result(got, want):
+    """Equal outcomes, and an equal capability has the same field types."""
+    assert got == want
+    if got[0] == "ok":
+        assert [type(getattr(got[1], f.name)) for f in fields(Capability)] == \
+            [type(getattr(want[1], f.name)) for f in fields(Capability)]
+
+
+@settings(max_examples=300)
+@given(any_caps(), seal_modes, st.integers(-64, MASK64), st.integers(-64, 512), any_perms,
+       st.integers(-ADDRESS_SPACE, 2 * ADDRESS_SPACE))
+def test_derivations_match_replace_reference(c, mode, new_base, new_length, perms, addr):
+    if new_base <= 512:  # mostly near the source's base, where monotonicity is decided
+        new_base += c.base
+    same_result(outcome(set_bounds, c, new_base, new_length, mode),
+                outcome(ref_set_bounds, c, new_base, new_length, mode))
+    same_result(outcome(restrict_perms, c, perms, mode),
+                outcome(ref_restrict_perms, c, perms, mode))
+    same_result(outcome(set_address, c, addr, mode),
+                outcome(ref_set_address, c, addr, mode))
+    same_result(outcome(seal_entry, c), outcome(ref_seal_entry, c))
+
+
+@settings(max_examples=300)
+@given(any_caps(), st.one_of(any_caps(), st.integers(-ADDRESS_SPACE, 2 * ADDRESS_SPACE)),
+       st.booleans(), st.sampled_from(BINOPS), seal_modes)
+def test_capint_binop_matches_replace_reference(c, other, cap_on_left, op, mode):
+    lhs, rhs = (c, other) if cap_on_left else (other, c)
+    got_adv, want_adv = [], []
+    same_result(outcome(capint_binop, lhs, rhs, op, mode, got_adv),
+                outcome(ref_capint_binop, lhs, rhs, op, mode, want_adv))
+    assert got_adv == want_adv
+
+
+# -- encode: the 16-byte memory pattern ----------------------------------
+
+ENCODE_SAMPLES = """
+from capsim.capability import PERM_ALL, Perm, make_root, seal_entry, set_address, int64_to_capint
+caps = [make_root(0, 1 << 64, PERM_ALL), make_root(0x1000, 0x40, Perm.LOAD),
+        seal_entry(set_address(make_root(0x2000, 0x100, PERM_ALL), 0x2010)),
+        make_root(0xFFFF_FFFF_0000, 0x10, Perm.STORE).untagged(), int64_to_capint(0xDEADBEEF)]
+encoded = " ".join(c.encode().hex() for c in caps)
+"""
+
+
+def test_encode_is_the_same_under_every_hash_seed():
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    runs = set()
+    for seed in ("0", "1", "2857"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", ENCODE_SAMPLES + "print(encoded)"],
+                              env=env, capture_output=True, text=True, check=True)
+        runs.add(done.stdout.strip())
+    here = {}
+    exec(ENCODE_SAMPLES, here)
+    assert runs == {here["encoded"]}
+
+
+@st.composite
+def valid_caps(draw):
+    base = draw(st.integers(0, MASK64))
+    return Capability(tag=draw(st.booleans()), address=draw(st.integers(0, MASK64)), base=base,
+                      top=draw(st.integers(base, ADDRESS_SPACE)), perms=draw(any_perms),
+                      seal=draw(seal_states))
+
+
+FIELD_VALUES = {
+    "base": st.integers(0, MASK64),
+    "top": st.integers(0, ADDRESS_SPACE),
+    "perms": any_perms,
+    "seal": seal_states,
+}
+
+
+def meta(c):
+    return c.encode()[8:]
+
+
+@settings(max_examples=300)
+@given(valid_caps(), st.sampled_from(sorted(FIELD_VALUES)), st.data())
+def test_encode_layout_and_metadata_word(c, field, data):
+    enc = c.encode()
+    assert len(enc) == 16 and struct.unpack("<Q", enc[:8])[0] == c.address
+    new = data.draw(FIELD_VALUES[field].filter(lambda v: v != getattr(c, field)))
+    assert meta(replace(c, **{field: new})) != meta(c)
+    # neither the tag nor the address enters the metadata word
+    assert meta(replace(c, tag=not c.tag, address=c.address ^ 0xFF)) == meta(c)
+
+
+@pytest.mark.parametrize("field, a, b", [
+    ("base", 0, (1 << 61) - 1),      # equal int hashes: 2**61 - 1 hashes to 0
+    ("top", 8, ADDRESS_SPACE),       # 2**64 hashes like 8
+    ("top", 0, ADDRESS_SPACE),
+    ("base", 0, 1 << 32),
+    ("perms", PERM_NONE, LD),
+    ("seal", SealState.UNSEALED, SealState.SEALED_ENTRY),
+])
+def test_encode_metadata_separates_values_with_equal_hashes(field, a, b):
+    c = Capability(tag=True, address=0, base=0, top=0x100, perms=LD)
+    assert meta(replace(c, **{field: a})) != meta(replace(c, **{field: b}))
