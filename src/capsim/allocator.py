@@ -8,10 +8,17 @@ capability is always a fresh derivation and the caller's old capability
 keeps its old bounds.  free and realloc require a tagged, unsealed
 capability whose base is that of a live allocation, so bits that merely
 look like a pointer cannot release or resize an object.
+
+The free list is a sorted list of disjoint, coalesced (base, length)
+regions; with F entries, in-place realloc growth bisects it for the
+block at the object's end in O(log F), and a shrinking realloc returns
+its tail in O(log F) plus the list insert, merging it only with its
+neighbours.  malloc takes the lowest-addressed block that fits
+(first fit, a linear scan).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .capability import Capability, SealState, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
@@ -77,9 +84,20 @@ class CapAllocator:
                 return base
         raise OutOfMemory(f"no free region of {size} bytes")
 
-    def _release(self, *regions: tuple[int, int]) -> None:
-        """Return (base, length) regions to the free list in one merge."""
-        self.free_list = _coalesce(self.free_list + list(regions))
+    def _release(self, base: int, length: int) -> None:
+        """Return one non-empty region that no free block overlaps to the
+        free list, merged with the blocks it touches on either side, so
+        the list stays `_coalesce` of its old blocks plus the region."""
+        free_list = self.free_list
+        top = base + length
+        lo = hi = bisect_left(free_list, (base,))
+        if lo and sum(free_list[lo - 1]) == base:  # the block before ends here
+            lo -= 1
+            base = free_list[lo][0]
+        if hi < len(free_list) and free_list[hi][0] == top:
+            top += free_list[hi][1]
+            hi += 1
+        free_list[lo:hi] = [(base, top - base)]
 
     # -- public surface ------------------------------------------------
 
@@ -122,7 +140,7 @@ class CapAllocator:
             if i < len(spans) and _overlaps(*spans[i], cap.base, cap.top):
                 self.mem.clear_granule_tag(addr)
                 cleared += 1
-        self._release(*spans)
+        self.free_list = _coalesce(self.free_list + spans)
         self.quarantine = []
         self.epoch += 1
         return cleared
@@ -132,24 +150,28 @@ class CapAllocator:
         old_size = self.live.get(old.base)
         if old_size is None:
             raise AllocError(f"realloc of unknown base {old.base:#x}")
+        if n < 1:
+            raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
         if size == old_size:
             return set_address(set_bounds(self.arena, old.base, size), old.address)
         if size < old_size:
             self.live[old.base] = size
-            self._release((old.base + size, old_size - size))
+            self._release(old.base + size, old_size - size)
             return set_address(set_bounds(self.arena, old.base, size), old.address)
         # growth: try in place first
         extra = size - old_size
         tail = old.base + old_size
-        for i, (base, length) in enumerate(self.free_list):
-            if base == tail and length >= extra:
-                if length == extra:
-                    del self.free_list[i]
-                else:
-                    self.free_list[i] = (base + extra, length - extra)
-                self.live[old.base] = size
-                return set_address(set_bounds(self.arena, old.base, size), old.address)
+        free_list = self.free_list
+        i = bisect_left(free_list, (tail,))  # (tail,) sorts before (tail, length)
+        if i < len(free_list) and free_list[i][0] == tail and free_list[i][1] >= extra:
+            length = free_list[i][1]
+            if length == extra:
+                del free_list[i]
+            else:
+                free_list[i] = (tail + extra, length - extra)
+            self.live[old.base] = size
+            return set_address(set_bounds(self.arena, old.base, size), old.address)
         # move: new region, copy contents, quarantine the old one
         new_base = self._take(size)
         self.live[new_base] = size

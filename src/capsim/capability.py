@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -33,6 +33,13 @@ PERM_ALL = Perm.LOAD | Perm.STORE | Perm.EXECUTE
 class SealState(enum.Enum):
     UNSEALED = "unsealed"
     SEALED_ENTRY = "sealed_entry"
+
+
+# Aliases for the per-access paths: in CPython 3.11 reading an enum member
+# as a class attribute costs several times a module-global read.
+_UNSEALED = SealState.UNSEALED
+_SEALED_ENTRY = SealState.SEALED_ENTRY
+_PACK_WORDS = struct.Struct("<QQ").pack
 
 
 class SealMode(enum.Enum):
@@ -83,12 +90,16 @@ class WordModel(enum.Enum):
         return self.value * 8
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Capability:
     """Tagged fat value: address, bounds [base, top), perms, seal, tag.
 
     Instances are immutable; every operation returns a new value.  An
-    untagged capability is just bits and carries no authority.
+    untagged capability is just bits and carries no authority.  The
+    constructor (see `_slot_init`) stores each field through its slot
+    descriptor; everything else is the frozen dataclass's own, so
+    assignment raises FrozenInstanceError.  Permission tests read the
+    integer mask `perms._value_` rather than testing `Flag` membership.
     """
 
     tag: bool
@@ -118,8 +129,31 @@ class Capability:
         """
         base, top = self.base, self.top
         meta = hash((base & MASK32, base >> 32, top & MASK32, top >> 32,
-                     self.perms.value, self.seal is SealState.SEALED_ENTRY))
-        return struct.pack("<QQ", self.address & MASK64, meta & MASK64)
+                     self.perms._value_, self.seal is _SEALED_ENTRY))
+        return _PACK_WORDS(self.address & MASK64, meta & MASK64)
+
+
+def _slot_init():
+    """Capability.__init__: one slot-descriptor store per field, which
+    costs about half of the six `object.__setattr__` calls a frozen
+    dataclass generates."""
+    store_tag, store_address, store_base, store_top, store_perms, store_seal = (
+        getattr(Capability, f.name).__set__ for f in fields(Capability))
+
+    def __init__(self, tag: bool, address: int, base: int, top: int, perms: Perm,
+                 seal: SealState = SealState.UNSEALED) -> None:
+        store_tag(self, tag)
+        store_address(self, address)
+        store_base(self, base)
+        store_top(self, top)
+        store_perms(self, perms)
+        store_seal(self, seal)
+
+    __init__.__qualname__ = "Capability.__init__"
+    return __init__
+
+
+Capability.__init__ = _slot_init()
 
 
 # A capability used in integer context (pointer-sized integer) is the
@@ -157,7 +191,7 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     the tag cleared.  Sealed tagged input follows the seal-semantics mode.
     """
     new_top = new_base + new_length
-    if cap.tag and cap.seal is not SealState.UNSEALED:
+    if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(mode, "set_bounds")
     else:
         ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
@@ -167,7 +201,7 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
 def restrict_perms(cap: Capability, perms: Perm,
                    mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
     """Drop permissions; widening (or untagged input) clears the tag."""
-    if cap.tag and cap.seal is not SealState.UNSEALED:
+    if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(mode, "restrict_perms")
     else:
         ok = cap.tag and (perms & cap.perms) == perms
@@ -180,7 +214,7 @@ def set_address(cap: Capability, addr: int,
     enforced only at access time."""
     addr &= MASK64
     tag = cap.tag
-    if tag and cap.seal is not SealState.UNSEALED:
+    if tag and cap.seal is not _UNSEALED:
         tag = _sealed_modify(mode, "set_address")
     return Capability(tag, addr, cap.base, cap.top, cap.perms, cap.seal)
 
@@ -188,7 +222,7 @@ def set_address(cap: Capability, addr: int,
 def seal_entry(cap: Capability) -> Capability:
     """Seal an executable capability.  Inputs without tag or EXECUTE yield
     an untagged result; a tag is never conjured."""
-    ok = cap.tag and cap.seal is SealState.UNSEALED and Perm.EXECUTE in cap.perms
+    ok = cap.tag and cap.seal is _UNSEALED and Perm.EXECUTE in cap.perms
     return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
 
 
@@ -199,8 +233,11 @@ def check_access(cap: Capability, kind: Perm, size: int,
     Decides exactly as if `cap` had first been moved to `address` without
     masking, e.g. by `dataclasses.replace(cap, address=address)`; the
     fault details name that address.  Check order is fixed: tag, seal,
-    permission, bounds.  Raises CapFault on the first failing check, or
-    ValueError when `size` is below 1.
+    permission, bounds.  The permission check tests integer masks
+    (`held & want == want` on the members' `_value_`), which decides as
+    `kind in cap.perms` does, `Perm(0)` included, without the enum's
+    Python-level `__contains__`.  Raises CapFault on the first failing
+    check, or ValueError when `size` is below 1.
     """
     if address is None:
         address = cap.address
@@ -208,9 +245,10 @@ def check_access(cap: Capability, kind: Perm, size: int,
         raise ValueError("access size must be >= 1")
     if not cap.tag:
         raise CapFault(FaultKind.TAG, f"untagged capability @{address:#x}")
-    if cap.seal is not SealState.UNSEALED:
+    if cap.seal is not _UNSEALED:
         raise CapFault(FaultKind.SEAL, f"sealed capability @{address:#x}")
-    if kind not in cap.perms:
+    want = kind._value_
+    if cap.perms._value_ & want != want:
         raise CapFault(FaultKind.PERMISSION, f"{kind.name} not permitted")
     if not (cap.base <= address and address + size <= cap.top):
         raise CapFault(
@@ -268,7 +306,7 @@ def capint_binop(lhs, rhs, op: str,
         raise ValueError(f"unknown operation {op!r}")
 
     tag = source.tag
-    if tag and source.seal is not SealState.UNSEALED:
+    if tag and source.seal is not _UNSEALED:
         tag = _sealed_modify(mode, f"binop {op}")
     return Capability(tag, value, source.base, source.top, source.perms, source.seal)
 

@@ -9,9 +9,11 @@ tagged granule and nothing else: a granule is tagged exactly when it has
 an entry, so clearing a tag removes the entry and a sweep visits only
 tagged granules.  Any plain byte write into a granule clears its tag.
 Pages have their own permission table and an mprotect-style protection
-call that models tag stripping on access restoration.  An access that
-passes its capability check but reaches past the end of memory faults
-as unmapped.
+call that models tag stripping on access restoration.  Permissions, of
+capabilities and of pages, are tested on integer masks (`held & want ==
+want` on the `Perm` members' `_value_`), so the table holds those ints.
+An access that passes its capability check but reaches past the end of
+memory faults as unmapped.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from .capability import (
 
 GRANULE = 16
 PAGE = 4096
+_LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
+_ACCESS = (Perm.LOAD | Perm.STORE)._value_  # a page with neither bit is inaccessible
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ class TaggedMemory:
         self.data = bytearray(size)
         # granule index -> capability, for tagged granules only
         self.granule_caps: dict[int, Capability] = {}
-        self.page_perms = [PERM_ALL] * (size // PAGE)
+        # page index -> permission mask (a `Perm` member's `_value_`)
+        self.page_perms = [PERM_ALL._value_] * (size // PAGE)
         # set while a page has neither LOAD nor STORE; consulted when
         # access is restored to decide whether its tags survive
         self._strip_pending = [False] * (size // PAGE)
@@ -65,8 +70,9 @@ class TaggedMemory:
                 FaultKind.PERMISSION,
                 f"[{addr:#x},{addr + size:#x}) unmapped",
             )
+        want = kind._value_
         for page in range(addr // PAGE, (addr + size - 1) // PAGE + 1):
-            if kind not in self.page_perms[page]:
+            if self.page_perms[page] & want != want:
                 raise CapFault(
                     FaultKind.PERMISSION,
                     f"page {page:#x} denies {kind.name}",
@@ -75,7 +81,7 @@ class TaggedMemory:
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, f"capability store at {addr:#x}")
-        self._check(authority, addr, Perm.STORE, GRANULE)
+        self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
         self.data[addr:addr + GRANULE] = value.encode()
         if value.tag:
@@ -86,7 +92,7 @@ class TaggedMemory:
     def load_cap(self, authority: Capability, addr: int) -> Capability:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, f"capability load at {addr:#x}")
-        self._check(authority, addr, Perm.LOAD, GRANULE)
+        self._check(authority, addr, _LOAD, GRANULE)
         cap = self.granule_caps.get(addr // GRANULE)
         if cap is not None:
             return cap
@@ -95,33 +101,36 @@ class TaggedMemory:
         return Capability(tag=False, address=low, base=0, top=0, perms=PERM_NONE)
 
     def store_bytes(self, authority: Capability, addr: int, payload: bytes) -> None:
-        self._check(authority, addr, Perm.STORE, len(payload))
+        self._check(authority, addr, _STORE, len(payload))
         self.data[addr:addr + len(payload)] = payload
+        pop = self.granule_caps.pop
         for g in range(addr // GRANULE, (addr + len(payload) - 1) // GRANULE + 1):
-            self.granule_caps.pop(g, None)
+            pop(g, None)
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:
-        self._check(authority, addr, Perm.LOAD, n)
+        self._check(authority, addr, _LOAD, n)
         return bytes(self.data[addr:addr + n])
 
     # -- page protection ----------------------------------------------
 
     def mprotect(self, req: PageProtRequest) -> None:
+        if req.length < 0:
+            raise ValueError("mprotect length must be >= 0")
         if req.start % PAGE != 0 or req.length % PAGE != 0:
             raise ValueError("mprotect range must be page aligned")
         if req.start < 0 or req.start + req.length > self.size:
             raise ValueError("mprotect range outside memory")
-        access = Perm.LOAD | Perm.STORE
+        perms = req.perms._value_
+        access = perms & _ACCESS
         for page in range(req.start // PAGE, (req.start + req.length) // PAGE):
-            restoring = self._strip_pending[page] and bool(req.perms & access)
-            if restoring:
+            if access and self._strip_pending[page]:
                 if not req.prot_cap:
                     base = page * PAGE
                     for g in range(base // GRANULE, (base + PAGE) // GRANULE):
                         self.granule_caps.pop(g, None)
                 self._strip_pending[page] = False
-            self.page_perms[page] = req.perms
-            if not req.perms & access:
+            self.page_perms[page] = perms
+            if not access:
                 self._strip_pending[page] = True
 
     # -- raw inspection (runtime sweeps and test oracles) --------------

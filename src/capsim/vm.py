@@ -91,7 +91,20 @@ class MarkBitmap:
         return bool((self.words[index] >> offset) & 1)
 
     def bits(self) -> set[int]:
-        return {i for i in range(self.nbits) if self.test(i)}
+        """Every index below nbits that `test` reports set, found by
+        walking the set bits of each word (padding bits never count)."""
+        stride = self.model.storage_bits
+        found = set()
+        for index, word in enumerate(self.words):
+            word &= MASK64
+            while word:
+                low = word & -word
+                i = index * stride + low.bit_length() - 1
+                if i >= self.nbits:
+                    return found  # indices only grow from here on
+                found.add(i)
+                word ^= low
+        return found
 
 
 def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:

@@ -4,7 +4,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capsim.allocator import AllocError, CapAllocator, OutOfMemory
+from capsim.allocator import AllocError, CapAllocator, OutOfMemory, _coalesce, _round_up
 from capsim.capability import (
     CapFault, Capability, FaultKind, Perm, SealState, make_root, seal_entry, set_address,
 )
@@ -349,3 +349,108 @@ def test_revoke_matches_all_pairs_oracle(data):
     addrs = [addr for addr, _ in mem.iter_tagged()]
     assert addrs == sorted(stored)
     _revoke_and_compare(mem, alloc, stored)
+
+
+# -- realloc below one byte ----------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, -1, -16, -100])
+def test_realloc_below_one_byte_raises(setup, n):
+    _, alloc = setup
+    alloc.malloc(32)
+    y = alloc.malloc(32)
+    alloc.malloc(32)
+    before = _allocator_state(alloc)
+    with pytest.raises(AllocError):
+        alloc.realloc(y, n)
+    assert _allocator_state(alloc) == before
+    alloc.free(y)  # y is still the live object it was
+    assert alloc.quarantine == [(y.base, 32)]
+
+
+# -- the free list under bisected growth and single-region release -----------
+
+def _free_gaps(alloc):
+    """The arena minus live and quarantined regions, as maximal runs: what
+    the free list must hold, in its order."""
+    gaps, at = [], alloc.arena.base
+    for base, length in sorted(list(alloc.live.items()) + alloc.quarantine):
+        if base > at:
+            gaps.append((at, base - at))
+        at = base + length
+    if alloc.arena.top > at:
+        gaps.append((at, alloc.arena.top - at))
+    return gaps
+
+
+def _first_fit(gaps, size):
+    return next((base for base, length in gaps if length >= size), None)
+
+
+churn_steps = st.lists(st.tuples(
+    st.sampled_from(["malloc", "free", "shrink", "grow", "grow_far", "revoke"]),
+    st.integers(0, 1 << 16), st.integers(1, 600)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(churn_steps)
+def test_free_list_matches_coalesced_regions_after_every_step(steps):
+    """malloc takes the lowest-addressed gap that fits, growth stays in
+    place exactly when a gap starting at the object's end is large enough
+    and otherwise moves to the first fit, and after every step the free
+    list is `_coalesce` of itself and equal to the gaps between live and
+    quarantined regions."""
+    mem = TaggedMemory(8 * PAGE)
+    alloc = CapAllocator(mem, make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE))
+    live = []
+    for op, pick, n in steps:
+        gaps = _free_gaps(alloc)
+        if op == "revoke" or (op != "malloc" and not live):
+            alloc.revoke()
+        elif op == "malloc":
+            want = _first_fit(gaps, _round_up(n))
+            try:
+                live.append(alloc.malloc(n))
+            except OutOfMemory:
+                assert want is None
+            else:
+                assert live[-1].base == want
+        elif op == "free":
+            alloc.free(live.pop(pick % len(live)))
+        else:
+            i = pick % len(live)
+            old = live[i]
+            if op == "shrink":
+                n = 1 + n % old.length
+            else:
+                n += old.length if op == "grow" else 4 * old.length
+            size = _round_up(n)
+            tail = dict(gaps).get(old.top, 0)
+            if size <= old.length or tail >= size - old.length:
+                want = old.base
+            else:
+                want = _first_fit(gaps, size)
+            try:
+                live[i] = alloc.realloc(old, n)
+            except OutOfMemory:
+                assert want is None
+            else:
+                assert live[i].base == want and live[i].length == size
+        assert alloc.free_list == _coalesce(alloc.free_list) == _free_gaps(alloc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.booleans(), min_size=2, max_size=48), st.data())
+def test_release_matches_coalesce(granules, data):
+    """_release of one region merges it with a free neighbour on either
+    side, both or neither, exactly as a full `_coalesce` would."""
+    start = data.draw(st.integers(0, len(granules) - 1))
+    end = data.draw(st.integers(start + 1, len(granules)))
+    free = [(ARENA_BASE + i * GRANULE, GRANULE) for i, f in enumerate(granules)
+            if f and not start <= i < end]
+    alloc = CapAllocator(TaggedMemory(8 * PAGE),
+                         make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE))
+    alloc.free_list = _coalesce(free)
+    region = (ARENA_BASE + start * GRANULE, (end - start) * GRANULE)
+    expected = _coalesce(alloc.free_list + [region])
+    alloc._release(*region)
+    assert alloc.free_list == expected

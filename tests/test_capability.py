@@ -1,9 +1,10 @@
+import inspect
 import os
 import random
 import struct
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -575,3 +576,67 @@ def test_encode_layout_and_metadata_word(c, field, data):
 def test_encode_metadata_separates_values_with_equal_hashes(field, a, b):
     c = Capability(tag=True, address=0, base=0, top=0x100, perms=LD)
     assert meta(replace(c, **{field: a})) != meta(replace(c, **{field: b}))
+
+
+# -- integer permission masks and the slot-store constructor ---------------
+
+PERM_GRID = [Perm(v) for v in range(PERM_ALL.value + 1)]  # Perm(0) included
+
+
+def test_check_access_permission_grid_matches_flag_membership():
+    for held in PERM_GRID:
+        c = make_root(0x1000, 0x100, held)
+        for want in PERM_GRID:
+            if want in held:  # the Flag reference
+                check_access(c, want, 8, 0x1010)
+                continue
+            with pytest.raises(CapFault) as exc:
+                check_access(c, want, 8, 0x1010)
+            assert exc.value.kind is FaultKind.PERMISSION, (held, want)
+            assert exc.value.detail == f"{want.name} not permitted"
+
+
+def setattr_reference(*values):
+    """The instance a frozen dataclass's generated __init__ builds: one
+    object.__setattr__ per field."""
+    ref = object.__new__(Capability)
+    for f, v in zip(fields(Capability), values):
+        object.__setattr__(ref, f.name, v)
+    return ref
+
+
+FIELD_NAMES = [f.name for f in fields(Capability)]
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.integers(-ADDRESS_SPACE, 2 * ADDRESS_SPACE), st.integers(0, MASK64),
+       st.integers(0, ADDRESS_SPACE), any_perms, seal_states)
+def test_constructor_matches_setattr_and_replace_reference(tag, address, base, top, perms, seal):
+    values = (tag, address, base, top, perms, seal)
+    ref = setattr_reference(*values)
+    built = [
+        Capability(*values),
+        Capability(**dict(zip(FIELD_NAMES, values))),
+        replace(int64_to_capint(0), **dict(zip(FIELD_NAMES, values))),
+    ]
+    for c in built:
+        assert c == ref and hash(c) == hash(ref) and repr(c) == repr(ref)
+        assert [getattr(c, name) for name in FIELD_NAMES] == list(values)
+    default = Capability(tag, address, base, top, perms)
+    assert default.seal is SealState.UNSEALED
+    assert default == setattr_reference(tag, address, base, top, perms, SealState.UNSEALED)
+    assert default == replace(ref, seal=SealState.UNSEALED)
+
+
+def test_capability_stays_a_frozen_slotted_dataclass():
+    c = make_root(0x1000, 0x100, LD)
+    assert list(inspect.signature(Capability).parameters) == FIELD_NAMES
+    assert not hasattr(c, "__dict__")
+    for name in FIELD_NAMES:
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, getattr(c, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(c, name)
+    with pytest.raises(TypeError):
+        Capability(True, 0x1000, 0x1000, 0x1100)  # perms has no default
+    assert c == make_root(0x1000, 0x100, LD)

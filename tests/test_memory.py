@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from capsim.capability import (
+    PERM_ALL,
     CapFault,
     FaultKind,
     Perm,
@@ -153,3 +154,57 @@ def test_tag_data_coherence_random_ops(mem, auth):
             mem.store_bytes(auth, addr, bytes([rng.randrange(256)] * rng.randrange(1, 32)))
     for addr, c in mem.iter_tagged():
         assert bytes(mem.data[addr:addr + GRANULE]) == c.encode()
+
+
+# -- page permissions tested on integer masks ------------------------------
+
+PERM_GRID = [Perm(v) for v in range(PERM_ALL.value + 1)]  # Perm(0) included
+
+
+def test_page_permission_grid_matches_flag_membership(auth):
+    """Every (page permissions, wanted kind) pair decides as `want in held`
+    does, through the page check alone (the authority holds every
+    permission) and on an access that spans into the protected page."""
+    for held in PERM_GRID:
+        mem = TaggedMemory(4 * PAGE)
+        mem.mprotect(PageProtRequest(PAGE, PAGE, held))
+        for want in PERM_GRID:
+            for addr in (PAGE + 0x10, PAGE - 8):
+                if want in held:  # the Flag reference
+                    mem._check(auth, addr, want, 16)
+                    continue
+                with pytest.raises(CapFault) as exc:
+                    mem._check(auth, addr, want, 16)
+                assert exc.value.kind is FaultKind.PERMISSION, (held, want)
+                assert exc.value.detail == f"page 0x1 denies {want.name}"
+            mem._check(auth, 0, want, 16)  # page 0 keeps every permission
+
+
+@pytest.mark.parametrize("held", PERM_GRID, ids=lambda p: f"perms{p.value}")
+def test_page_permissions_decide_public_accesses(mem, auth, held):
+    mem.mprotect(PageProtRequest(PAGE, PAGE, held))
+    value = make_root(0x100, 0x40, LD)
+    accesses = {
+        LD: [lambda: mem.load_bytes(auth, PAGE, 8), lambda: mem.load_cap(auth, PAGE)],
+        ST: [lambda: mem.store_bytes(auth, PAGE, b"x"), lambda: mem.store_cap(auth, PAGE, value)],
+    }
+    for kind, calls in accesses.items():
+        for call in calls:
+            if kind in held:
+                call()
+                continue
+            with pytest.raises(CapFault) as exc:
+                call()
+            assert exc.value.kind is FaultKind.PERMISSION
+
+
+@pytest.mark.parametrize("length", [-PAGE, -2 * PAGE, -4 * PAGE])
+def test_mprotect_negative_length_raises(mem, auth, length):
+    mem.store_cap(auth, 2 * PAGE, make_root(0x100, 0x40, LD))
+    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, Perm(0)))
+    with pytest.raises(ValueError):
+        mem.mprotect(PageProtRequest(3 * PAGE, length, LD | ST))
+    with pytest.raises(CapFault):  # the page is still inaccessible
+        mem.load_bytes(auth, 2 * PAGE, 8)
+    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, LD | ST, prot_cap=True))
+    assert mem.load_cap(auth, 2 * PAGE).tag  # and still held its tag

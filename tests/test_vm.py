@@ -2,6 +2,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capsim.capability import (
     CapFault,
@@ -169,3 +170,19 @@ def test_return_address_is_sealed_entry():
     vm = MiniVm()
     ret = vm.return_address(0x1234)
     assert ret.tag and ret.seal.value == "sealed_entry"
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(WordModel)), st.integers(1, 300), st.data())
+def test_mark_bitmap_bits_matches_per_bit_test(model, nbits, data):
+    """bits() read from the words equals the set of indices below nbits
+    that test() reports, after set() calls (some at indices past nbits
+    that still land in the last word) or raw words of any value."""
+    bm = MarkBitmap(nbits, model)
+    last = len(bm.words) * model.storage_bits - 1
+    for i in data.draw(st.lists(st.integers(0, last), max_size=40)):
+        bm.set(i)
+    if data.draw(st.booleans()):
+        bm.words = data.draw(st.lists(st.integers(-(1 << 130), 1 << 130),
+                                      min_size=len(bm.words), max_size=len(bm.words)))
+    assert bm.bits() == {i for i in range(nbits) if bm.test(i)}
