@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
+import stat
 
 import pytest
 
+from capsim import cli
 from capsim.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
 from capsim.harness import RunSpec, run_matrix
 from capsim.scenarios import SCENARIO_IDS
@@ -83,3 +87,114 @@ def test_record_schema():
                           "outcome", "pass"}
         assert set(r["outcome"]) == {"kind", "fault", "expected", "actual",
                                      "detail"}
+
+
+# sha256 of `capsim run all --format FMT --seed SEED` as printed to stdout.
+# The report stays byte-identical unless a schema change is intended and
+# documented; update these only together with such a change.
+REPORT_SHA256 = {
+    ("json", 0): "229840428aa510902fb91bfb7b116af4047a5d667f681cbe398d2968f48bed16",
+    ("json", 5): "938a5cd4913c5d196461154845f4a8047077165c5fa5f6ecc41cc9c070d8e2dc",
+    ("json", 11): "9b47a8a1a5dd52ec7e9126f4df62f170b1f03d1f0a9a47c2771f007c68ae3222",
+    ("json", 1234): "85a0bb36d34f341c9a580477cb36102f24509cc4d2a5f8a65c8a77a3c70955aa",
+    ("text", 0): "b328798687ef4c85cc0f4e0aac3c9f90152551e4ee2e42dc5a40683d9809264e",
+}
+
+S1_JSON = ["run", "S1", "--format", "json"]
+
+
+def _stdout_of(argv, capsys) -> bytes:
+    assert main(argv) == EXIT_OK
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("fmt, seed", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(fmt, seed, tmp_path, capsys):
+    argv = ["run", "all", "--format", fmt, "--seed", str(seed)]
+    printed = _stdout_of(argv, capsys)
+    assert hashlib.sha256(printed).hexdigest() == REPORT_SHA256[fmt, seed]
+    path = tmp_path / "report"  # a longer old report must leave no tail
+    path.write_bytes(b"#" * (len(printed) + 4096))
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == printed
+
+
+def test_successive_main_calls_are_independent(capsys):
+    assert cli._parser() is cli._parser()
+    chosen = ["run", "S1", "S7", "--format", "json", "--seed", "5",
+              "--mode", "buggy"]
+    first = _stdout_of(chosen, capsys)
+    assert main(["run", "all", "--mode", "bogus"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
+    # options given to earlier calls do not carry over to the defaults
+    report = json.loads(_stdout_of(["run", "S4", "--format", "json"], capsys))
+    assert report["seed"] == 0
+    assert {r["mode"] for r in report["records"]} == {"buggy", "fixed"}
+    assert _stdout_of(chosen, capsys) == first
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    rc = main(["run", "S1", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: cannot write report to {path}: ")
+    assert "internal error" not in err
+
+
+def test_out_opens_without_truncating(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("old report\n")
+    flags = []
+    real_open = os.open
+
+    def recording_open(file, flag, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert main(S1_JSON + ["--out", str(path)]) == EXIT_OK
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+
+
+def test_out_through_symlink_rewrites_target(tmp_path, capsys):
+    printed = _stdout_of(S1_JSON, capsys)
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 50000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(S1_JSON + ["--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == printed
+
+
+def test_out_keeps_inode_mode_and_hard_links(tmp_path, capsys):
+    printed = _stdout_of(S1_JSON, capsys)
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 50000)
+    path.chmod(0o640)
+    alias = tmp_path / "alias.json"
+    os.link(path, alias)
+    before = path.stat()
+    assert main(S1_JSON + ["--out", str(path)]) == EXIT_OK
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert alias.read_bytes() == printed
+
+
+def test_out_creates_new_file_with_umask_mode(tmp_path):
+    path = tmp_path / "new.json"
+    old = os.umask(0o027)
+    try:
+        assert main(S1_JSON + ["--out", str(path)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_out_dev_null(capsys):
+    assert main(S1_JSON + ["--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().out == ""
