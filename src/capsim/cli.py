@@ -9,7 +9,7 @@ import stat
 import sys
 
 from .harness import RunSpec, format_text, run_matrix
-from .scenarios import CATALOGUE, SCENARIO_IDS
+from .scenarios import CATALOGUE
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -45,10 +45,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_list() -> int:
     rows = [("id", "name", "category", "title", "buggy expectation")]
-    for sid in SCENARIO_IDS:
-        info = CATALOGUE[sid]
-        rows.append((info.sid, info.name, info.category, info.title,
-                     info.buggy_expectation))
+    rows += [(r.sid, r.name, r.category, r.title, r.buggy_expectation)
+             for r in CATALOGUE.values()]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -56,7 +54,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    ids = list(SCENARIO_IDS) if "all" in args.scenarios else args.scenarios
+    ids = [sid for arg in args.scenarios for sid in (CATALOGUE if arg == "all" else [arg])]
     try:
         spec = RunSpec(
             scenarios=tuple(ids),
@@ -120,7 +118,9 @@ def main(argv=None) -> int:
             return _cmd_list()
         return _cmd_run(args)
     except Exception as exc:  # simulator bug, not a scenario failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        import traceback  # only on this path, to keep start-up light
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .capability import SealMode
 from .scenarios import (
-    OPT_SENSITIVE,
-    SCENARIO_IDS,
-    SEAL_SENSITIVE,
+    CATALOGUE,
+    Scenario,
     ScenarioConfig,
     expected_outcome,
     outcome_matches,
@@ -27,14 +26,14 @@ _MODE_CHOICES = {"buggy": ["buggy"], "fixed": ["fixed"], "both": ["buggy", "fixe
 
 @dataclass(frozen=True)
 class RunSpec:
-    scenarios: tuple[str, ...] = tuple(SCENARIO_IDS)
+    scenarios: tuple[str, ...] = field(default_factory=lambda: tuple(CATALOGUE))
     mode: str = "both"
     seal_semantics: str = "both"
     opt_level: str = "both"
     seed: int = 0
 
     def __post_init__(self):
-        unknown = [s for s in self.scenarios if s not in SCENARIO_IDS]
+        unknown = [s for s in self.scenarios if s not in CATALOGUE]
         if unknown:
             raise ValueError(f"unknown scenario id(s): {', '.join(unknown)}")
         if self.mode not in _MODE_CHOICES:
@@ -45,13 +44,12 @@ class RunSpec:
             raise ValueError(f"bad optimization level {self.opt_level!r}")
 
 
-def _configs_for(sid: str, spec: RunSpec):
-    """The applicable config cells: the seal-mode dimension exists only
-    for seal-sensitive scenarios, the opt-level dimension only for the
-    immediate-test scenario."""
-    seals = _SEAL_CHOICES[spec.seal_semantics] if sid in SEAL_SENSITIVE \
+def _configs_for(record: Scenario, spec: RunSpec):
+    """The applicable config cells: the seal-mode and opt-level dimensions
+    exist only for scenarios whose record says they apply."""
+    seals = _SEAL_CHOICES[spec.seal_semantics] if record.seal_sensitive \
         else [SealMode.FAULT_ON_MODIFY]
-    opts = _OPT_CHOICES[spec.opt_level] if sid in OPT_SENSITIVE else ["O0"]
+    opts = _OPT_CHOICES[spec.opt_level] if record.opt_sensitive else ["O0"]
     for seal in seals:
         for opt in opts:
             yield ScenarioConfig(seal_mode=seal, opt_level=opt, seed=spec.seed)
@@ -59,11 +57,15 @@ def _configs_for(sid: str, spec: RunSpec):
 
 def run_matrix(spec: RunSpec) -> dict:
     """Run the full cross-product and return the report as plain data
-    (JSON-serializable dicts)."""
+    (JSON-serializable dicts). Each selected scenario runs once, in
+    registry order, however often and in whatever order it was named."""
     records = []
-    for sid in spec.scenarios:
+    chosen = set(spec.scenarios)
+    for sid, record in CATALOGUE.items():
+        if sid not in chosen:
+            continue
         for mode in _MODE_CHOICES[spec.mode]:
-            for cfg in _configs_for(sid, spec):
+            for cfg in _configs_for(record, spec):
                 outcome = run_scenario(sid, mode, cfg)
                 expectation = expected_outcome(sid, mode, cfg)
                 records.append({
@@ -80,8 +82,6 @@ def run_matrix(spec: RunSpec) -> dict:
                     },
                     "pass": outcome_matches(outcome, expectation),
                 })
-    records.sort(key=lambda r: (int(r["scenario"][1:]), r["mode"],
-                                r["seal_mode"] or "", r["opt_level"] or ""))
     passed = sum(1 for r in records if r["pass"])
     return {
         "version": __version__,

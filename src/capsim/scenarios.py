@@ -4,23 +4,31 @@ Every scenario runs on a fresh simulator instance and reports one of
 three outcomes: Ok (the fixed idiom succeeded and an independent oracle
 agreed), Fault (an architectural fault fired), or Corrupt (the buggy
 idiom silently produced a wrong value, reported as expected vs actual).
+
+A scenario is one runner function registered with the `@scenario`
+decorator, which records its catalogue text, the outcome its buggy
+variant must produce in each configuration, and whether the seal-mode
+and opt-level dimensions apply to it. `CATALOGUE`, the dict from id to
+`Scenario` record in registration order, is the only registry: the
+harness, the CLI and `expected_outcome` derive everything from it. A
+runner takes `(mode, cfg, payload=None)` and returns `(kind, fault,
+expected, actual, detail)`; `run_scenario` adds the id, the mode and the
+applicable configuration.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 from .capability import (
     MASK64,
     CapFault,
-    Capability,
     FaultKind,
     Perm,
     SealMode,
     WordModel,
-    capint_binop,
     capint_to_int64,
     int64_to_capint,
     set_address,
@@ -42,10 +50,6 @@ from .vm import (
     pad_utf8,
     utf8_lead_oracle,
 )
-
-SCENARIO_IDS = [f"S{i}" for i in range(1, 13)]
-SEAL_SENSITIVE = {"S7", "S8", "S9"}
-OPT_SENSITIVE = {"S9"}
 
 
 class OutcomeKind(Enum):
@@ -74,32 +78,68 @@ class ScenarioOutcome:
     detail: str = ""
 
 
-def _outcome(sid: str, mode: str, cfg: ScenarioConfig, kind: OutcomeKind, *,
-             fault: FaultKind | None = None, expected=None, actual=None,
-             detail: str = "") -> ScenarioOutcome:
-    return ScenarioOutcome(
-        scenario=sid,
-        mode=mode,
-        seal_mode=cfg.seal_mode.value if sid in SEAL_SENSITIVE else None,
-        opt_level=cfg.opt_level if sid in OPT_SENSITIVE else None,
-        kind=kind,
-        fault=fault,
-        expected=None if expected is None else str(expected),
-        actual=None if actual is None else str(actual),
-        detail=detail,
-    )
+@dataclass(frozen=True)
+class Scenario:
+    """Everything known about one scenario. `buggy(cfg)` is the outcome
+    its buggy variant must produce in `cfg`: ("ok",), ("fault",
+    FaultKind) or ("corrupt",); the fixed variant is always Ok. The
+    seal-mode dimension applies only if `seal_sensitive`, the opt-level
+    dimension only if `opt_sensitive`."""
+    sid: str
+    name: str
+    title: str
+    category: str
+    buggy_expectation: str
+    buggy: Callable[[ScenarioConfig], tuple]
+    run: Callable[..., tuple]
+    seal_sensitive: bool = False
+    opt_sensitive: bool = False
 
 
-def _check(sid, mode, cfg, expected, actual, detail_ok=""):
+CATALOGUE: dict[str, Scenario] = {}
+# A live view of the registered ids in order: it supports iteration,
+# `in`, `len` and `set()`, but not indexing (use `list(SCENARIO_IDS)`).
+SCENARIO_IDS = CATALOGUE.keys()
+
+
+def scenario(sid, name, title, category, buggy_expectation, *, buggy,
+             seal_sensitive=False, opt_sensitive=False):
+    """Register the decorated runner as scenario `sid`."""
+    def register(run):
+        CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
+                                  buggy, run, seal_sensitive, opt_sensitive)
+        return run
+    return register
+
+
+_OK = ("ok",)
+_CORRUPT = ("corrupt",)
+_BOUNDS = ("fault", FaultKind.BOUNDS)
+_TAG = ("fault", FaultKind.TAG)
+_SEAL = ("fault", FaultKind.SEAL)
+
+
+def _seal_fault_in_fault_mode(cfg: ScenarioConfig) -> tuple:
+    return _SEAL if cfg.seal_mode is SealMode.FAULT_ON_MODIFY else _OK
+
+
+def _fault(f: CapFault, detail: str) -> tuple:
+    return OutcomeKind.FAULT, f.kind, None, None, detail
+
+
+def _check(expected, actual, detail_ok="") -> tuple:
+    """Ok if the idiom's result equals the oracle's, else Corrupt."""
     if expected != actual:
-        return _outcome(sid, mode, cfg, OutcomeKind.CORRUPT,
-                        expected=expected, actual=actual)
-    return _outcome(sid, mode, cfg, OutcomeKind.OK, detail=detail_ok)
+        expected, actual = (None if v is None else str(v) for v in (expected, actual))
+        return OutcomeKind.CORRUPT, None, expected, actual, ""
+    return OutcomeKind.OK, None, None, None, detail_ok
 
 
 # -- S1: stack scan through a narrowly-bounded derived pointer ----------
 
-def _s1(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S1", "stack_scan_bounds", "invalid derived stack-scan pointer",
+          "derived pointer", "BoundsFault (iteration 2)", buggy=lambda cfg: _BOUNDS)
+def _s1(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     refs = [0, 3, 7]
     entries = [("ref", r) for r in refs] + [("imm", 0x15), ("int", 0x1234)]
@@ -114,12 +154,10 @@ def _s1(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
             try:
                 v = vm.mem.load_cap(scan, scan.address)
             except CapFault as f:
-                return _outcome("S1", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                                detail=f"iteration {i + 1}")
+                return _fault(f, f"iteration {i + 1}")
             vm.gc_mark(v, "fixed")
             scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
-        return _outcome("S1", mode, cfg, OutcomeKind.CORRUPT,
-                        expected="bounds fault", actual="completed")
+        return _check("bounds fault", "completed")
 
     # fixed: derive the scan pointer from the stack super capability
     scan = set_address(vm.stack_cap, top, cfg.seal_mode)
@@ -127,13 +165,15 @@ def _s1(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
         v = vm.mem.load_cap(scan, scan.address)
         vm.gc_mark(v, "fixed")
         scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
-    return _check("S1", mode, cfg, sorted(refs), sorted(vm.marked_objects()),
+    return _check(sorted(refs), sorted(vm.marked_objects()),
                   detail_ok=f"marked {len(refs)} objects")
 
 
 # -- S2: dereferencing an ambiguous pointer -----------------------------
 
-def _s2(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S2", "ambiguous_pointer", "dereferencing an ambiguous pointer",
+          "ambiguous pointer", "TagFault", buggy=lambda cfg: _TAG)
+def _s2(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     dead = 5  # object reachable only via a pointer-like integer
     live = [1, 4]
@@ -147,16 +187,17 @@ def _s2(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
         try:
             vm.gc_mark(v, variant)
         except CapFault as f:
-            return _outcome("S2", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                            detail=f"marking value @{v.address:#x}")
+            return _fault(f, f"marking value @{v.address:#x}")
         scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
-    return _check("S2", mode, cfg, sorted(live), sorted(vm.marked_objects()),
+    return _check(sorted(live), sorted(vm.marked_objects()),
                   detail_ok="dead object left unmarked")
 
 
 # -- S3: in-place reallocation keeps the stale narrow capability --------
 
-def _s3(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S3", "inplace_realloc", "stale capability after in-place realloc",
+          "reallocation", "BoundsFault", buggy=lambda cfg: _BOUNDS)
+def _s3(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     old_size, new_size = 64, 128
     chunk = vm.alloc.malloc(old_size)
@@ -171,10 +212,9 @@ def _s3(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
         vm.mem.store_bytes(set_address(writer, chunk.base + old_size, cfg.seal_mode),
                            chunk.base + old_size, second)
     except CapFault as f:
-        return _outcome("S3", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                        detail="write into the grown area via the old capability")
+        return _fault(f, "write into the grown area via the old capability")
     got = vm.mem.load_bytes(grown, grown.base, new_size)
-    return _check("S3", mode, cfg, (first + second).hex(), got.hex(),
+    return _check((first + second).hex(), got.hex(),
                   detail_ok="grown chunk readable end to end")
 
 
@@ -183,7 +223,9 @@ def _s3(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
 DEFAULT_MARK_SET = {3, 70, 127}
 
 
-def _s4(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
+@scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
+          "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT)
+def _s4(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     if payload is not None:
         marks = set(payload)
@@ -194,13 +236,15 @@ def _s4(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
     bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, model)
     for i in sorted(marks):
         bitmap.set(i)
-    return _check("S4", mode, cfg, sorted(marks), sorted(bitmap.bits()),
+    return _check(sorted(marks), sorted(bitmap.bits()),
                   detail_ok=f"{len(marks)} bits set and read back")
 
 
 # -- S5: shape id shifted past the value width --------------------------
 
-def _s5(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S5", "shape_id", "shape id shifted past the value width",
+          "integer padding", "Corrupt (shape reads back 0)", buggy=lambda cfg: _CORRUPT)
+def _s5(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     shape_id = vm.rng.randrange(1, 1 << SHAPE_ID_NUM_BITS)
     storage_bits = (WordModel.PADDED_CAP if mode == "buggy" else WordModel.EXACT64).storage_bits
@@ -219,8 +263,7 @@ def _s5(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
     # read back
     word = struct.unpack("<Q", vm.mem.load_bytes(vm.heap_page, header, 8))[0]
     got = vm.binop(int64_to_capint(word), shift, "shr").address & ((1 << SHAPE_ID_NUM_BITS) - 1)
-    return _check("S5", mode, cfg, shape_id, got,
-                  detail_ok=f"shape id {shape_id:#x} round-tripped")
+    return _check(shape_id, got, detail_ok=f"shape id {shape_id:#x} round-tripped")
 
 
 # -- S6: word-parallel UTF-8 lead-byte count over padded words ----------
@@ -228,7 +271,9 @@ def _s5(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
 DEFAULT_S6_TEXT = "héllo wörld, naïve café, héllo wörld!"
 
 
-def _s6(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
+@scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
+          "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT)
+def _s6(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     if payload is None:
         raw = DEFAULT_S6_TEXT.encode()
@@ -242,8 +287,7 @@ def _s6(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
     vm.mem.store_bytes(chunk, chunk.base, buf)
     stored = vm.mem.load_bytes(chunk, chunk.base, len(buf))
     got = count_utf8_lead_bytes(stored, model)
-    return _check("S6", mode, cfg, utf8_lead_oracle(buf), got,
-                  detail_ok=f"counted {got} lead bytes")
+    return _check(utf8_lead_oracle(buf), got, detail_ok=f"counted {got} lead bytes")
 
 
 # -- S7: symbol search subtracts from a sealed return address -----------
@@ -263,7 +307,10 @@ def _find_symbol_oracle(addr: int) -> str | None:
     return None
 
 
-def _s7(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S7", "backtrace_symbols", "symbol search on sealed return address",
+          "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
+          buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
+def _s7(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     trace_addr = vm.return_address(CODE_BASE + 0x1A0)
     found = None
@@ -273,21 +320,23 @@ def _s7(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
             try:
                 d = vm.binop(trace_addr, saddr, "sub")
             except CapFault as f:
-                return _outcome("S7", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                                detail=f"distance computation for {sym.name}")
+                return _fault(f, f"distance computation for {sym.name}")
             dist = d.address
         else:
             dist = (capint_to_int64(trace_addr) - saddr) & MASK64
         if dist < sym.st_size:
             found = sym.name
             break
-    return _check("S7", mode, cfg, _find_symbol_oracle(trace_addr.address), found,
+    return _check(_find_symbol_oracle(trace_addr.address), found,
                   detail_ok=f"symbol {found}")
 
 
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
-def _s8(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
+@scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
+          "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
+          buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
+def _s8(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     addr = payload if payload is not None else CODE_BASE + 0x40
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
@@ -296,18 +345,20 @@ def _s8(mode: str, cfg: ScenarioConfig, payload=None) -> ScenarioOutcome:
         try:
             h = insn_hash_capint(dispatch, cfg.seal_mode, vm.advisories)
         except CapFault as f:
-            return _outcome("S8", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                            detail="hash of sealed dispatch capability")
+            return _fault(f, "hash of sealed dispatch capability")
         got = h.address
     else:
         got = insn_hash_int(capint_to_int64(dispatch))
-    return _check("S8", mode, cfg, f"{oracle:#x}", f"{got:#x}",
-                  detail_ok=f"hash {got:#x}")
+    return _check(f"{oracle:#x}", f"{got:#x}", detail_ok=f"hash {got:#x}")
 
 
 # -- S9: immediate test on a sealed return address ----------------------
 
-def _s9(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S9", "immediate_test_sealed", "immediate test on a sealed return address",
+          "sealed capability", "SealFault (O0 + fault mode) / Ok otherwise",
+          buggy=lambda cfg: _seal_fault_in_fault_mode(cfg) if cfg.opt_level == "O0" else _OK,
+          seal_sensitive=True, opt_sensitive=True)
+def _s9(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     refs = [2, 6]
     entries = [("ref", r) for r in refs] + [("ret", CODE_BASE + 0x180), ("imm", 0x2B)]
@@ -322,16 +373,17 @@ def _s9(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
             if not vm.vm_immediate_p(v, variant, cfg.opt_level):
                 vm.gc_mark(v, "fixed")
         except CapFault as f:
-            return _outcome("S9", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                            detail="immediate test created a sealed temporary")
+            return _fault(f, "immediate test created a sealed temporary")
         scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
-    return _check("S9", mode, cfg, sorted(refs), sorted(vm.marked_objects()),
+    return _check(sorted(refs), sorted(vm.marked_objects()),
                   detail_ok="return address skipped, references marked")
 
 
 # -- S10: container downcast through a plain integer type ---------------
 
-def _s10(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S10", "downcast_sizet", "container downcast via a plain integer",
+          "integer cast", "TagFault", buggy=lambda cfg: _TAG)
+def _s10(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     member_offset = 24  # fixed record-layout constant
     rec = vm.alloc.malloc(64)
@@ -349,15 +401,15 @@ def _s10(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
     try:
         got = struct.unpack("<Q", vm.mem.load_bytes(container, container.address, 8))[0]
     except CapFault as f:
-        return _outcome("S10", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                        detail="field load through the recovered container pointer")
-    return _check("S10", mode, cfg, f"{planted:#x}", f"{got:#x}",
-                  detail_ok="container field recovered")
+        return _fault(f, "field load through the recovered container pointer")
+    return _check(f"{planted:#x}", f"{got:#x}", detail_ok="container field recovered")
 
 
 # -- S11: page protection strips validity tags --------------------------
 
-def _s11(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S11", "mprotect_tags", "page protection invalidates stored tags",
+          "page protection", "TagFault", buggy=lambda cfg: _TAG)
+def _s11(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     slot = vm.heap_page.base  # page-aligned granule inside the heap page
     stored = vm.object_ref(3)
@@ -371,15 +423,16 @@ def _s11(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
     try:
         vm.mem.load_bytes(loaded, loaded.address, 8)
     except CapFault as f:
-        return _outcome("S11", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                        detail="dereference of the reloaded capability")
-    return _check("S11", mode, cfg, True, loaded == stored,
+        return _fault(f, "dereference of the reloaded capability")
+    return _check(True, loaded == stored,
                   detail_ok="capability survived the protection cycle")
 
 
 # -- S12: context creation truncates capability arguments ---------------
 
-def _s12(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
+@scenario("S12", "makecontext_args", "context copy truncates capability arguments",
+          "context arguments", "TagFault", buggy=lambda cfg: _TAG)
+def _s12(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     vm = MiniVm(cfg.seal_mode, cfg.seed)
     ctx = vm.alloc.malloc(64)
     arg = vm.object_ref(9)
@@ -397,71 +450,29 @@ def _s12(mode: str, cfg: ScenarioConfig) -> ScenarioOutcome:
     try:
         got = struct.unpack("<Q", vm.mem.load_bytes(received, received.address, 8))[0]
     except CapFault as f:
-        return _outcome("S12", mode, cfg, OutcomeKind.FAULT, fault=f.kind,
-                        detail="callee dereference of the copied argument")
-    return _check("S12", mode, cfg, f"{header:#x}", f"{got:#x}",
+        return _fault(f, "callee dereference of the copied argument")
+    return _check(f"{header:#x}", f"{got:#x}",
                   detail_ok="argument survived the context copy")
 
 
-# -- catalogue ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScenarioInfo:
-    sid: str
-    name: str
-    title: str
-    category: str
-    buggy_expectation: str
-
-
-CATALOGUE = {
-    "S1": ScenarioInfo("S1", "stack_scan_bounds", "invalid derived stack-scan pointer",
-                       "derived pointer", "BoundsFault (iteration 2)"),
-    "S2": ScenarioInfo("S2", "ambiguous_pointer", "dereferencing an ambiguous pointer",
-                       "ambiguous pointer", "TagFault"),
-    "S3": ScenarioInfo("S3", "inplace_realloc", "stale capability after in-place realloc",
-                       "reallocation", "BoundsFault"),
-    "S4": ScenarioInfo("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
-                       "integer padding", "Corrupt (dropped bits)"),
-    "S5": ScenarioInfo("S5", "shape_id", "shape id shifted past the value width",
-                       "integer padding", "Corrupt (shape reads back 0)"),
-    "S6": ScenarioInfo("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
-                       "integer padding", "Corrupt (undercount)"),
-    "S7": ScenarioInfo("S7", "backtrace_symbols", "symbol search on sealed return address",
-                       "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)"),
-    "S8": ScenarioInfo("S8", "insn_hash", "hashing a sealed dispatch capability",
-                       "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)"),
-    "S9": ScenarioInfo("S9", "immediate_test_sealed", "immediate test on a sealed return address",
-                       "sealed capability", "SealFault (O0 + fault mode) / Ok otherwise"),
-    "S10": ScenarioInfo("S10", "downcast_sizet", "container downcast via a plain integer",
-                        "integer cast", "TagFault"),
-    "S11": ScenarioInfo("S11", "mprotect_tags", "page protection invalidates stored tags",
-                        "page protection", "TagFault"),
-    "S12": ScenarioInfo("S12", "makecontext_args", "context copy truncates capability arguments",
-                        "context arguments", "TagFault"),
-}
-
-_RUNNERS: dict[str, Callable] = {
-    "S1": _s1, "S2": _s2, "S3": _s3, "S4": _s4, "S5": _s5, "S6": _s6,
-    "S7": _s7, "S8": _s8, "S9": _s9, "S10": _s10, "S11": _s11, "S12": _s12,
-}
-
-_PAYLOAD_AWARE = {"S4", "S6", "S8"}
+def _lookup(sid: str) -> Scenario:
+    if sid not in CATALOGUE:
+        raise ValueError(f"unknown scenario id {sid!r}")
+    return CATALOGUE[sid]
 
 
 def run_scenario(sid: str, mode: str,
                  config: ScenarioConfig | None = None,
                  payload=None) -> ScenarioOutcome:
     """Run one scenario variant on a fresh simulator instance."""
-    if sid not in _RUNNERS:
-        raise ValueError(f"unknown scenario id {sid!r}")
+    record = _lookup(sid)
     if mode not in ("buggy", "fixed"):
         raise ValueError(f"mode must be 'buggy' or 'fixed', not {mode!r}")
     cfg = config or ScenarioConfig()
-    runner = _RUNNERS[sid]
-    if sid in _PAYLOAD_AWARE:
-        return runner(mode, cfg, payload)
-    return runner(mode, cfg)
+    return ScenarioOutcome(sid, mode,
+                           cfg.seal_mode.value if record.seal_sensitive else None,
+                           cfg.opt_level if record.opt_sensitive else None,
+                           *record.run(mode, cfg, payload))
 
 
 def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig) -> tuple:
@@ -469,23 +480,7 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig) -> tuple:
 
     Returns ("ok",), ("fault", FaultKind) or ("corrupt",).
     """
-    if mode == "fixed":
-        return ("ok",)
-    if sid == "S1" or sid == "S3":
-        return ("fault", FaultKind.BOUNDS)
-    if sid in ("S2", "S10", "S11", "S12"):
-        return ("fault", FaultKind.TAG)
-    if sid in ("S4", "S5", "S6"):
-        return ("corrupt",)
-    if sid in ("S7", "S8"):
-        if cfg.seal_mode is SealMode.FAULT_ON_MODIFY:
-            return ("fault", FaultKind.SEAL)
-        return ("ok",)
-    if sid == "S9":
-        if cfg.opt_level == "O0" and cfg.seal_mode is SealMode.FAULT_ON_MODIFY:
-            return ("fault", FaultKind.SEAL)
-        return ("ok",)
-    raise ValueError(sid)
+    return _OK if mode == "fixed" else _lookup(sid).buggy(cfg)
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:

@@ -6,9 +6,10 @@ import stat
 import pytest
 
 from capsim import cli
-from capsim.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
+from capsim.capability import FaultKind
+from capsim.cli import EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from capsim.harness import RunSpec, run_matrix
-from capsim.scenarios import SCENARIO_IDS
+from capsim.scenarios import CATALOGUE, SCENARIO_IDS, OutcomeKind, Scenario
 
 
 def test_list_has_twelve_rows(capsys):
@@ -99,6 +100,9 @@ REPORT_SHA256 = {
     ("json", 1234): "85a0bb36d34f341c9a580477cb36102f24509cc4d2a5f8a65c8a77a3c70955aa",
     ("text", 0): "b328798687ef4c85cc0f4e0aac3c9f90152551e4ee2e42dc5a40683d9809264e",
 }
+# sha256 of `capsim list` as printed to stdout; the catalogue text changes
+# only together with this digest.
+LIST_SHA256 = "c56917ce94e88ff9c982cf6685b536823ed81bcdbf51f8b6d5fa519a61230bea"
 
 S1_JSON = ["run", "S1", "--format", "json"]
 
@@ -198,3 +202,73 @@ def test_out_creates_new_file_with_umask_mode(tmp_path):
 def test_out_dev_null(capsys):
     assert main(S1_JSON + ["--out", os.devnull]) == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_list_bytes_are_pinned(capsys):
+    assert hashlib.sha256(_stdout_of(["list"], capsys)).hexdigest() == LIST_SHA256
+
+
+def test_run_all_with_unknown_id_is_a_usage_error(capsys):
+    assert main(["run", "all", "S99"]) == EXIT_USAGE
+    assert "S99" in capsys.readouterr().err
+
+
+def test_run_selects_each_scenario_once_in_registry_order(capsys):
+    argv = ["run", "S9", "S3", "S9", "--mode", "buggy", "--format", "json"]
+    records = json.loads(_stdout_of(argv, capsys))["records"]
+    cells = [(r["scenario"], r["seal_mode"], r["opt_level"]) for r in records]
+    assert len(set(cells)) == len(cells) == 5
+    assert [sid for sid, _, _ in cells] == ["S3"] + ["S9"] * 4
+    assert records == json.loads(_stdout_of(argv[:1] + ["S3", "S9"] + argv[4:], capsys))["records"]
+
+
+# -- a throwaway S13: adding a scenario is one registry entry -------------
+
+TAG_FAULT = (OutcomeKind.FAULT, FaultKind.TAG, None, None, "throwaway fault")
+OK = (OutcomeKind.OK, None, None, None, "throwaway ok")
+
+
+def _register_s13(monkeypatch, buggy_result):
+    """Register S13, whose record expects a tag fault from its buggy
+    variant and whose runner reports `buggy_result` (or raises it)."""
+    def run(mode, cfg, payload=None):
+        if isinstance(buggy_result, Exception) and mode == "buggy":
+            raise buggy_result
+        return buggy_result if mode == "buggy" else OK
+    monkeypatch.setitem(CATALOGUE, "S13", Scenario(
+        "S13", "throwaway", "a scenario registered by a test", "test", "TagFault",
+        buggy=lambda cfg: ("fault", FaultKind.TAG), run=run))
+
+
+def test_a_registered_scenario_appears_everywhere(monkeypatch, capsys):
+    before = list(CATALOGUE.items())
+    with monkeypatch.context() as m:
+        _register_s13(m, TAG_FAULT)
+        assert main(["list"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 14 and rows[-1].startswith("S13 ")
+        assert RunSpec().scenarios == tuple(sid for sid, _ in before) + ("S13",)
+        report = json.loads(_stdout_of(["run", "all", "--format", "json"], capsys))
+        assert [r["scenario"] for r in report["records"][-2:]] == ["S13", "S13"]
+        assert report["summary"] == {"total": 36, "passed": 36, "failed": 0}
+    assert list(CATALOGUE.items()) == before
+    assert "S13" not in SCENARIO_IDS and len(SCENARIO_IDS) == 12
+
+
+def test_contradicted_expectation_exits_with_failures(monkeypatch, capsys):
+    _register_s13(monkeypatch, OK)
+    assert main(["run", "S13", "--mode", "buggy", "--format", "json"]) == EXIT_FAILURES
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["pass"] is False and record["outcome"]["kind"] == "ok"
+    assert main(["run", "S13", "--mode", "buggy"]) == EXIT_FAILURES
+    header, _, row, summary = capsys.readouterr().out.splitlines()
+    assert row.split()[:6] == ["S13", "buggy", "-", "-", "ok", "NO"]
+    assert summary.startswith("0/1 cells passed, 1 failed")
+
+
+def test_internal_error_names_the_exception_and_its_location(monkeypatch, capsys):
+    _register_s13(monkeypatch, RuntimeError("boom"))
+    assert main(["run", "S13"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback (most recent call last):" in err and "raise buggy_result" in err

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from capsim.capability import FaultKind, SealMode
+from capsim.harness import RunSpec, _configs_for
 from capsim.scenarios import (
     CATALOGUE,
     SCENARIO_IDS,
@@ -156,3 +160,36 @@ def test_catalogue_complete():
     for sid in SCENARIO_IDS:
         for mode in ("buggy", "fixed"):
             expected_outcome(sid, mode, ScenarioConfig())
+
+
+def test_scenario_ids_is_a_live_view_of_the_registry():
+    assert list(SCENARIO_IDS) == [f"S{i}" for i in range(1, 13)] == list(CATALOGUE)
+    assert "S7" in SCENARIO_IDS and "S13" not in SCENARIO_IDS
+    assert len(SCENARIO_IDS) == 12 and set(SCENARIO_IDS) == set(CATALOGUE)
+    with pytest.raises(TypeError):
+        SCENARIO_IDS[0]
+    assert all(sid == record.sid for sid, record in CATALOGUE.items())
+
+
+OUTCOME_NAMES = {
+    ("fault", FaultKind.BOUNDS): "BoundsFault",
+    ("fault", FaultKind.TAG): "TagFault",
+    ("fault", FaultKind.SEAL): "SealFault",
+    ("corrupt",): "Corrupt",
+    ("ok",): "Ok",
+}
+
+
+@pytest.mark.parametrize("sid", list(SCENARIO_IDS))
+def test_buggy_expectation_text_names_the_buggy_outcomes(sid):
+    record = CATALOGUE[sid]
+    yielded = {OUTCOME_NAMES[record.buggy(cfg)] for cfg in _configs_for(record, RunSpec())}
+    named = set(re.findall(r"\b(?:%s)\b" % "|".join(OUTCOME_NAMES.values()),
+                           record.buggy_expectation))
+    assert named == yielded
+
+
+def test_readme_scenario_table_lists_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\|\s*(S\d+)\s*\|", section, flags=re.M) == list(SCENARIO_IDS)
