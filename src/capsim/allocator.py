@@ -14,7 +14,8 @@ regions; with F entries, in-place realloc growth bisects it for the
 block at the object's end in O(log F), and a shrinking realloc returns
 its tail in O(log F) plus the list insert, merging it only with its
 neighbours.  malloc takes the lowest-addressed block that fits
-(first fit, a linear scan).
+(first fit, a linear scan).  malloc and in-place growth both take bytes
+from the front of one free block with `_carve`, which drops a used-up block.
 """
 from __future__ import annotations
 
@@ -73,15 +74,21 @@ class CapAllocator:
 
     # -- internal free-list management --------------------------------
 
+    def _carve(self, i: int, size: int) -> int:
+        """Take `size` bytes from the front of free block `i` (which holds
+        at least that many) and return their base; a used-up block goes."""
+        base, length = self.free_list[i]
+        if length == size:
+            del self.free_list[i]
+        else:
+            self.free_list[i] = (base + size, length - size)
+        return base
+
     def _take(self, size: int) -> int:
         """First-fit: carve `size` bytes out of the free list."""
         for i, (base, length) in enumerate(self.free_list):
             if length >= size:
-                if length == size:
-                    del self.free_list[i]
-                else:
-                    self.free_list[i] = (base + size, length - size)
-                return base
+                return self._carve(i, size)
         raise OutOfMemory(f"no free region of {size} bytes")
 
     def _release(self, base: int, length: int) -> None:
@@ -153,30 +160,24 @@ class CapAllocator:
         if n < 1:
             raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
-        if size == old_size:
-            return set_address(set_bounds(self.arena, old.base, size), old.address)
-        if size < old_size:
-            self.live[old.base] = size
-            self._release(old.base + size, old_size - size)
-            return set_address(set_bounds(self.arena, old.base, size), old.address)
-        # growth: try in place first
         extra = size - old_size
-        tail = old.base + old_size
-        free_list = self.free_list
-        i = bisect_left(free_list, (tail,))  # (tail,) sorts before (tail, length)
-        if i < len(free_list) and free_list[i][0] == tail and free_list[i][1] >= extra:
-            length = free_list[i][1]
-            if length == extra:
-                del free_list[i]
+        if extra < 0:
+            self._release(old.base + size, -extra)
+        elif extra > 0:
+            # growth: in place if the free block at the object's end fits
+            tail = old.base + old_size
+            free_list = self.free_list
+            i = bisect_left(free_list, (tail,))  # (tail,) sorts before (tail, length)
+            if i < len(free_list) and free_list[i][0] == tail and free_list[i][1] >= extra:
+                self._carve(i, extra)
             else:
-                free_list[i] = (tail + extra, length - extra)
-            self.live[old.base] = size
-            return set_address(set_bounds(self.arena, old.base, size), old.address)
-        # move: new region, copy contents, quarantine the old one
-        new_base = self._take(size)
-        self.live[new_base] = size
-        payload = self.mem.load_bytes(self.arena, old.base, old_size)
-        self.mem.store_bytes(self.arena, new_base, payload)
-        del self.live[old.base]
-        self.quarantine.append((old.base, old_size))
-        return set_bounds(self.arena, new_base, size)
+                # move: new region, copy contents, quarantine the old one
+                new_base = self._take(size)
+                self.live[new_base] = size
+                payload = self.mem.load_bytes(self.arena, old.base, old_size)
+                self.mem.store_bytes(self.arena, new_base, payload)
+                del self.live[old.base]
+                self.quarantine.append((old.base, old_size))
+                return set_bounds(self.arena, new_base, size)
+        self.live[old.base] = size
+        return set_address(set_bounds(self.arena, old.base, size), old.address)

@@ -8,7 +8,8 @@ import os
 import stat
 import sys
 
-from .harness import RunSpec, format_text, run_matrix
+from .harness import (_MODE_CHOICES, _OPT_CHOICES, _SEAL_CHOICES, RunSpec,
+                      format_text, run_matrix)
 from .scenarios import CATALOGUE
 
 EXIT_OK = 0
@@ -32,11 +33,11 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run scenarios and report pass/fail")
     run.add_argument("scenarios", nargs="+",
                      help="scenario ids (S1..S12) or 'all'")
-    run.add_argument("--mode", choices=["buggy", "fixed", "both"], default="both")
-    run.add_argument("--seal-semantics", choices=["fault", "invalidate", "both"],
-                     default="both")
-    run.add_argument("--opt-level", choices=["O0", "O1", "both"], default="both")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--mode", choices=_MODE_CHOICES, default=RunSpec.mode)
+    run.add_argument("--seal-semantics", choices=_SEAL_CHOICES,
+                     default=RunSpec.seal_semantics)
+    run.add_argument("--opt-level", choices=_OPT_CHOICES, default=RunSpec.opt_level)
+    run.add_argument("--seed", type=int, default=RunSpec.seed)
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", default=None,
                      help="write the report to this path instead of stdout")

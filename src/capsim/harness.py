@@ -15,11 +15,7 @@ from .scenarios import (
     run_scenario,
 )
 
-_SEAL_CHOICES = {
-    "fault": [SealMode.FAULT_ON_MODIFY],
-    "invalidate": [SealMode.INVALIDATE_ON_MODIFY],
-    "both": [SealMode.FAULT_ON_MODIFY, SealMode.INVALIDATE_ON_MODIFY],
-}
+_SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
 _OPT_CHOICES = {"O0": ["O0"], "O1": ["O1"], "both": ["O0", "O1"]}
 _MODE_CHOICES = {"buggy": ["buggy"], "fixed": ["fixed"], "both": ["buggy", "fixed"]}
 
@@ -46,10 +42,12 @@ class RunSpec:
 
 def _configs_for(record: Scenario, spec: RunSpec):
     """The applicable config cells: the seal-mode and opt-level dimensions
-    exist only for scenarios whose record says they apply."""
+    exist only for scenarios whose record says they apply; the others run
+    with `ScenarioConfig`'s default seal mode and opt level."""
     seals = _SEAL_CHOICES[spec.seal_semantics] if record.seal_sensitive \
-        else [SealMode.FAULT_ON_MODIFY]
-    opts = _OPT_CHOICES[spec.opt_level] if record.opt_sensitive else ["O0"]
+        else [ScenarioConfig.seal_mode]
+    opts = _OPT_CHOICES[spec.opt_level] if record.opt_sensitive \
+        else [ScenarioConfig.opt_level]
     for seal in seals:
         for opt in opts:
             yield ScenarioConfig(seal_mode=seal, opt_level=opt, seed=spec.seed)

@@ -9,7 +9,11 @@ tagged granule and nothing else: a granule is tagged exactly when it has
 an entry, so clearing a tag removes the entry and a sweep visits only
 tagged granules.  Any plain byte write into a granule clears its tag.
 Pages have their own permission table and an mprotect-style protection
-call that models tag stripping on access restoration.  Permissions, of
+call that models tag stripping on access restoration: a page whose mask
+has neither LOAD nor STORE (`Perm(0)` or EXECUTE alone) loses the tags
+of all its granules when a later `mprotect` gives back LOAD or STORE
+without `prot_cap`; with `prot_cap` the tags are kept, and a change
+between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
 An access that passes its capability check but reaches past the end of
@@ -22,15 +26,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .capability import (
-    MASK64,
     CapFault,
     Capability,
     FaultKind,
     Perm,
-    PERM_NONE,
     PERM_ALL,
-    SealState,
     check_access,
+    int64_to_capint,
 )
 
 GRANULE = 16
@@ -57,9 +59,6 @@ class TaggedMemory:
         self.granule_caps: dict[int, Capability] = {}
         # page index -> permission mask (a `Perm` member's `_value_`)
         self.page_perms = [PERM_ALL._value_] * (size // PAGE)
-        # set while a page has neither LOAD nor STORE; consulted when
-        # access is restored to decide whether its tags survive
-        self._strip_pending = [False] * (size // PAGE)
 
     # -- capability-checked access ------------------------------------
 
@@ -97,8 +96,7 @@ class TaggedMemory:
         if cap is not None:
             return cap
         # untagged granule: the low 64 bits load as a pointer-like integer
-        low = struct.unpack_from("<Q", self.data, addr)[0]
-        return Capability(tag=False, address=low, base=0, top=0, perms=PERM_NONE)
+        return int64_to_capint(struct.unpack_from("<Q", self.data, addr)[0])
 
     def store_bytes(self, authority: Capability, addr: int, payload: bytes) -> None:
         self._check(authority, addr, _STORE, len(payload))
@@ -121,17 +119,13 @@ class TaggedMemory:
         if req.start < 0 or req.start + req.length > self.size:
             raise ValueError("mprotect range outside memory")
         perms = req.perms._value_
-        access = perms & _ACCESS
+        strip = perms & _ACCESS and not req.prot_cap
         for page in range(req.start // PAGE, (req.start + req.length) // PAGE):
-            if access and self._strip_pending[page]:
-                if not req.prot_cap:
-                    base = page * PAGE
-                    for g in range(base // GRANULE, (base + PAGE) // GRANULE):
-                        self.granule_caps.pop(g, None)
-                self._strip_pending[page] = False
+            # restoring access to an inaccessible page strips its tags
+            if strip and not self.page_perms[page] & _ACCESS:
+                for g in range(page * PAGE // GRANULE, (page + 1) * PAGE // GRANULE):
+                    self.granule_caps.pop(g, None)
             self.page_perms[page] = perms
-            if not access:
-                self._strip_pending[page] = True
 
     # -- raw inspection (runtime sweeps and test oracles) --------------
 

@@ -160,11 +160,8 @@ def _s1(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
         return _check("bounds fault", "completed")
 
     # fixed: derive the scan pointer from the stack super capability
-    scan = set_address(vm.stack_cap, top, cfg.seal_mode)
-    while scan.address < vm.stack_bottom:
-        v = vm.mem.load_cap(scan, scan.address)
+    for v in vm.stack_values(top):
         vm.gc_mark(v, "fixed")
-        scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
     return _check(sorted(refs), sorted(vm.marked_objects()),
                   detail_ok=f"marked {len(refs)} objects")
 
@@ -181,14 +178,11 @@ def _s2(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     top = vm.lay_out_stack(entries)
 
     variant = "buggy" if mode == "buggy" else "fixed"
-    scan = set_address(vm.stack_cap, top, cfg.seal_mode)
-    while scan.address < vm.stack_bottom:
-        v = vm.mem.load_cap(scan, scan.address)
+    for v in vm.stack_values(top):
         try:
             vm.gc_mark(v, variant)
         except CapFault as f:
             return _fault(f, f"marking value @{v.address:#x}")
-        scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
     return _check(sorted(live), sorted(vm.marked_objects()),
                   detail_ok="dead object left unmarked")
 
@@ -366,15 +360,12 @@ def _s9(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
     top = vm.lay_out_stack(entries)
 
     variant = "buggy" if mode == "buggy" else "fixed"
-    scan = set_address(vm.stack_cap, top, cfg.seal_mode)
-    while scan.address < vm.stack_bottom:
-        v = vm.mem.load_cap(scan, scan.address)
+    for v in vm.stack_values(top):
         try:
             if not vm.vm_immediate_p(v, variant, cfg.opt_level):
                 vm.gc_mark(v, "fixed")
         except CapFault as f:
             return _fault(f, "immediate test created a sealed temporary")
-        scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
     return _check(sorted(refs), sorted(vm.marked_objects()),
                   detail_ok="return address skipped, references marked")
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .allocator import CapAllocator
 from .capability import (
     MASK64,
-    CapFault,
     CapInt,
     Capability,
-    FaultKind,
     Perm,
     SealMode,
     SealState,
@@ -29,9 +28,8 @@ from .capability import (
     make_root,
     seal_entry,
     set_address,
-    set_bounds,
 )
-from .memory import GRANULE, PAGE, TaggedMemory
+from .memory import PAGE, TaggedMemory
 
 IMMEDIATE_MASK = 0x7
 
@@ -66,26 +64,33 @@ class MarkBitmap:
     Under the padded model the word stride is taken from the storage
     size (128 bits), so bit offsets of 64 and above fall into padding:
     the shift saturates to the sentinel 0 and the or-update is dropped.
-    Under the exact-width model every bit is addressable.
+    Under the exact-width model every bit is addressable.  An index
+    outside the words' storage bits raises `ValueError`; indices from
+    nbits to the end of the last word are storage that `bits` ignores.
     """
 
     nbits: int
     model: WordModel
-    words: list[int] = field(default_factory=list)
+    words: list[int] = field(init=False)
 
     def __post_init__(self):
         stride = self.model.storage_bits
         self.words = [0] * ((self.nbits + stride - 1) // stride)
 
-    def set(self, i: int) -> None:
+    def _locate(self, i: int) -> tuple[int, int]:
+        """(word index, bit offset in the word) of bit `i`."""
         stride = self.model.storage_bits
-        index, offset = divmod(i, stride)
+        if not 0 <= i < len(self.words) * stride:
+            raise ValueError(f"bit index {i} outside [0, {len(self.words) * stride})")
+        return divmod(i, stride)
+
+    def set(self, i: int) -> None:
+        index, offset = self._locate(i)
         mask = capint_binop(int64_to_capint(1), offset, "shl")
         self.words[index] = (self.words[index] | mask.address) & MASK64
 
     def test(self, i: int) -> bool:
-        stride = self.model.storage_bits
-        index, offset = divmod(i, stride)
+        index, offset = self._locate(i)
         if offset >= 64:
             return False  # padding bits never hold data
         return bool((self.words[index] >> offset) & 1)
@@ -223,6 +228,15 @@ class MiniVm:
                 raise ValueError(f"unknown stack entry kind {kind!r}")
         return top
 
+    def stack_values(self, top: int) -> Iterator[Capability]:
+        """Yield the value in each stack slot from `top` up to the stack
+        bottom, loaded through a scan pointer derived from the stack
+        capability, whose bounds cover the whole stack."""
+        scan = set_address(self.stack_cap, top, self.seal_mode)
+        while scan.address < self.stack_bottom:
+            yield self.mem.load_cap(scan, scan.address)
+            scan = set_address(scan, scan.address + STACK_SLOT, self.seal_mode)
+
     # -- runtime routines ----------------------------------------------
 
     def vm_immediate_p(self, v: CapInt, variant: str, opt_level: str = "O0") -> bool:
@@ -255,14 +269,10 @@ class MiniVm:
         """
         if self.vm_immediate_p(v, "fixed"):
             return False
-        if variant == "fixed":
-            if not v.tag or v.seal is not SealState.UNSEALED:
-                return False
-            if not self.looks_like_object(v.address):
-                return False
-        else:
-            if not self.looks_like_object(v.address):
-                return False
+        if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):
+            return False
+        if not self.looks_like_object(v.address):
+            return False
         # dereference the object header through v itself
         self.mem.load_bytes(v, v.address, 8)
         self.bitmap.set((v.address - self.heap_page.base) // OBJECT_SLOT)

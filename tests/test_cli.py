@@ -123,6 +123,31 @@ def test_report_bytes_are_pinned(fmt, seed, tmp_path, capsys):
     assert path.read_bytes() == printed
 
 
+# (flag, RunSpec field, record field, {value: cells in `run all`})
+RUN_DIMENSIONS = [
+    ("--mode", "mode", "mode", {"buggy": 17, "fixed": 17, "both": 34}),
+    ("--seal-semantics", "seal_semantics", "seal_mode",
+     {"fault": 26, "invalidate": 26, "both": 34}),
+    ("--opt-level", "opt_level", "opt_level", {"O0": 30, "O1": 30, "both": 34}),
+]
+
+
+@pytest.mark.parametrize("flag, spec_field, record_field, totals, value", [
+    pytest.param(*dimension, value, id=f"{dimension[0]}={value}")
+    for dimension in RUN_DIMENSIONS for value in dimension[3]
+])
+def test_each_run_dimension_value_matches_run_matrix(
+        flag, spec_field, record_field, totals, value, capsys):
+    """`capsim run all` with one dimension set equals `run_matrix` with
+    the same RunSpec field, and its records carry exactly that value."""
+    printed = _stdout_of(["run", "all", "--format", "json", flag, value], capsys)
+    report = run_matrix(RunSpec(**{spec_field: value}))
+    assert json.loads(printed) == report
+    assert report["summary"]["total"] == totals[value]
+    seen = {r[record_field] for r in report["records"]} - {None}
+    assert seen == (set(totals) - {"both"} if value == "both" else {value})
+
+
 def test_successive_main_calls_are_independent(capsys):
     assert cli._parser() is cli._parser()
     chosen = ["run", "S1", "S7", "--format", "json", "--seed", "5",

@@ -2,6 +2,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capsim.capability import (
     PERM_ALL,
@@ -208,3 +209,95 @@ def test_mprotect_negative_length_raises(mem, auth, length):
         mem.load_bytes(auth, 2 * PAGE, 8)
     mem.mprotect(PageProtRequest(2 * PAGE, PAGE, LD | ST, prot_cap=True))
     assert mem.load_cap(auth, 2 * PAGE).tag  # and still held its tag
+
+
+# -- page protection against a reference model -----------------------------
+
+# the granules of each page that the sequences use
+_SLOT_GRANULES = (0, 100, PAGE // GRANULE - 2, PAGE // GRANULE - 1)
+
+_MEM_OPS = st.one_of(
+    st.tuples(st.sampled_from(["store_cap", "store_bytes", "load_cap"]),
+              st.integers(0, 2), st.integers(0, len(_SLOT_GRANULES) - 1)),
+    st.tuples(st.just("mprotect"), st.integers(0, 2), st.integers(0, 3),
+              st.sampled_from(PERM_GRID), st.booleans()),
+)
+
+
+class _PageModel:
+    """Naive page protection: an explicit per-page flag, set while the page
+    has neither LOAD nor STORE, says whether its tags go when LOAD or STORE
+    comes back without `prot_cap`."""
+
+    def __init__(self, npages):
+        self.perms = [PERM_ALL] * npages
+        self.strip_pending = [False] * npages
+        self.caps = {}  # granule address -> capability
+
+    def allows(self, addr, kind):
+        return kind in self.perms[addr // PAGE]
+
+    def mprotect(self, first, count, perms, prot_cap):
+        for page in range(first, first + count):
+            accessible = bool(perms & (LD | ST))
+            if accessible and self.strip_pending[page]:
+                if not prot_cap:
+                    self.caps = {a: c for a, c in self.caps.items() if a // PAGE != page}
+                self.strip_pending[page] = False
+            self.perms[page] = perms
+            if not accessible:
+                self.strip_pending[page] = True
+
+
+_STRIP = [("store_cap", 0, 0), ("mprotect", 0, 1, Perm.EXECUTE, False),
+          ("mprotect", 0, 1, LD | ST, False), ("load_cap", 0, 0)]
+_NO_STRIP = [("store_cap", 0, 0), ("mprotect", 0, 1, LD, False),
+             ("mprotect", 0, 1, ST, False), ("mprotect", 0, 1, LD, False),
+             ("load_cap", 0, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.lists(_MEM_OPS, max_size=25))
+@example(1, _STRIP)
+@example(1, _NO_STRIP)
+@example(2, [("store_cap", 1, 3), ("mprotect", 0, 2, Perm(0), False),
+             ("mprotect", 1, 1, Perm.EXECUTE | LD, True), ("load_cap", 1, 3),
+             ("mprotect", 0, 2, ST, False), ("load_cap", 0, 0)])
+def test_page_protection_matches_strip_pending_model(npages, ops):
+    mem = TaggedMemory(npages * PAGE)
+    auth = make_root(0, npages * PAGE, PERM_ALL)
+    model = _PageModel(npages)
+    for step, (name, page, *args) in enumerate(ops):
+        page %= npages
+        if name == "mprotect":
+            count, perms, prot_cap = args
+            count = min(count, npages - page)
+            mem.mprotect(PageProtRequest(page * PAGE, count * PAGE, perms, prot_cap))
+            model.mprotect(page, count, perms, prot_cap)
+        else:
+            addr = page * PAGE + _SLOT_GRANULES[args[0]] * GRANULE
+            kind = LD if name == "load_cap" else ST
+            value = make_root(0x100 * (step + 1), 0x40, LD)
+            call = {
+                "store_cap": lambda: mem.store_cap(auth, addr, value),
+                "store_bytes": lambda: mem.store_bytes(auth, addr + 4, b"\xaa" * 8),
+                "load_cap": lambda: mem.load_cap(auth, addr),
+            }[name]
+            if not model.allows(addr, kind):
+                with pytest.raises(CapFault) as exc:
+                    call()
+                assert exc.value.kind is FaultKind.PERMISSION
+            elif name == "load_cap":
+                out = call()
+                if addr in model.caps:
+                    assert out == model.caps[addr]
+                else:
+                    assert not out.tag
+            else:
+                call()
+                if name == "store_cap":
+                    model.caps[addr] = value
+                else:
+                    model.caps.pop(addr, None)
+        assert dict(mem.iter_tagged()) == model.caps, (step, name)
+        assert mem.page_perms == [p.value for p in model.perms]

@@ -114,6 +114,21 @@ class TestMarkBitmap:
                 naive[i] = True
             assert bm.bits() == {i for i, v in enumerate(naive) if v}
 
+    @pytest.mark.parametrize("model", list(WordModel), ids=lambda m: m.name)
+    def test_index_outside_the_words_raises(self, model):
+        bm = MarkBitmap(128, model)
+        past = len(bm.words) * model.storage_bits
+        for i in (-1, -128, past, 300):
+            with pytest.raises(ValueError):
+                bm.set(i)
+            with pytest.raises(ValueError):
+                bm.test(i)
+        assert bm.words == [0] * len(bm.words) and bm.bits() == set()
+
+    def test_words_are_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            MarkBitmap(8, WordModel.EXACT64, [1])
+
 
 class TestUtf8Count:
     def test_hello_with_accent(self):
@@ -164,6 +179,16 @@ def test_object_refs_have_page_wide_bounds():
     ref = vm.object_ref(5)
     assert (ref.base, ref.top) == (vm.heap_page.base, vm.heap_page.top)
     assert ref.address % 32 == 0 and (ref.address & IMMEDIATE_MASK) == 0
+
+
+def test_stack_values_yields_each_slot_from_top_to_bottom():
+    vm = MiniVm()
+    top = vm.lay_out_stack([("ref", 3), ("int", 0x1234), ("ret", 0x1180)])
+    ref, num, ret = vm.stack_values(top)
+    assert ref == vm.object_ref(3)
+    assert not num.tag and num.address == 0x1234
+    assert ret == vm.return_address(0x1180)
+    assert list(vm.stack_values(vm.stack_bottom)) == []
 
 
 def test_return_address_is_sealed_entry():
