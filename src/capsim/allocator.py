@@ -44,22 +44,24 @@ def _require_authority(cap: Capability, what: str) -> None:
         raise AllocError(f"{what} through an untagged or sealed capability @{cap.base:#x}")
 
 
-def _overlaps(base: int, length: int, lo: int, hi: int) -> bool:
-    return max(base, lo) < min(base + length, hi)
-
-
 def _coalesce(regions) -> list[tuple[int, int]]:
-    """Sort (base, length) regions and merge those that touch or overlap
-    into disjoint spans, dropping empty ones."""
+    """Sort (base, length) regions and merge those that touch, overlap or
+    contain each other into disjoint spans, dropping empty ones."""
     merged: list[tuple[int, int]] = []
+    start = end = None  # the open span [start, end), appended when it closes
     for base, length in sorted(regions):
         if length <= 0:
             continue
-        if merged and base <= merged[-1][0] + merged[-1][1]:
-            pb, pl = merged[-1]
-            merged[-1] = (pb, max(pl, base + length - pb))
+        top = base + length
+        if end is not None and base <= end:  # touches or reaches into it
+            if top > end:
+                end = top
         else:
-            merged.append((base, length))
+            if end is not None:
+                merged.append((start, end - start))
+            start, end = base, top
+    if end is not None:
+        merged.append((start, end - start))
     return merged
 
 
@@ -131,21 +133,25 @@ class CapAllocator:
         region, not only when its base lies inside one: a capability
         whose base is outside the region still reaches into it.  Empty or
         inverted bounds reach nothing and survive.  The quarantine is
-        coalesced into sorted disjoint spans once; each tagged capability
-        then bisects the span ends for the one span that can intersect
-        it.  With T tagged granules, Q quarantined regions and F free-list
-        entries the sweep costs O(T log Q + Q log Q + F).  Returns the
-        number of tags cleared.
+        coalesced into sorted disjoint, non-empty spans once.  Earlier
+        spans end at or before a capability's base, so only the first span
+        ending after `base` can intersect it, and it does exactly when it
+        starts below `top` and `base < top`; each tagged capability bisects
+        the span ends for that span.  With T tagged granules, Q quarantined
+        regions and F free-list entries the sweep costs
+        O(T log Q + Q log Q + F).  Returns the number of tags cleared.
         """
         spans = _coalesce(self.quarantine)
-        ends = [base + length for base, length in spans]
+        starts = [start for start, _ in spans]
+        ends = [start + length for start, length in spans]
+        n = len(spans)
+        clear = self.mem.clear_granule_tag
         cleared = 0
         for addr, cap in self.mem.iter_tagged():
-            # the first span ending after cap.base; earlier spans end at
-            # or before it, and a later one can intersect only if this does
-            i = bisect_right(ends, cap.base)
-            if i < len(spans) and _overlaps(*spans[i], cap.base, cap.top):
-                self.mem.clear_granule_tag(addr)
+            base, top = cap.base, cap.top
+            i = bisect_right(ends, base)
+            if i < n and starts[i] < top and base < top:
+                clear(addr)
                 cleared += 1
         self.free_list = _coalesce(self.free_list + spans)
         self.quarantine = []

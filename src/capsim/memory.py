@@ -6,8 +6,9 @@ an explicit address: tag, seal, permission, bounds), so no moved copy of
 it is derived per access.  Every 16-byte aligned granule carries one tag
 bit.  The side table `granule_caps` holds the full capability of each
 tagged granule and nothing else: a granule is tagged exactly when it has
-an entry, so clearing a tag removes the entry and a sweep visits only
-tagged granules.  Any plain byte write into a granule clears its tag.
+an entry, so clearing a tag removes the entry, and a sweep or a page's
+tag strip visits only tagged granules.  Any plain byte write into a
+granule clears its tag.
 Pages have their own permission table and an mprotect-style protection
 call that models tag stripping on access restoration: a page whose mask
 has neither LOAD nor STORE (`Perm(0)` or EXECUTE alone) loses the tags
@@ -120,21 +121,25 @@ class TaggedMemory:
             raise ValueError("mprotect range outside memory")
         perms = req.perms._value_
         strip = perms & _ACCESS and not req.prot_cap
+        caps = self.granule_caps
         for page in range(req.start // PAGE, (req.start + req.length) // PAGE):
             # restoring access to an inaccessible page strips its tags
             if strip and not self.page_perms[page] & _ACCESS:
-                for g in range(page * PAGE // GRANULE, (page + 1) * PAGE // GRANULE):
-                    self.granule_caps.pop(g, None)
+                g0 = page * PAGE // GRANULE
+                for g in caps.keys() & range(g0, g0 + PAGE // GRANULE):
+                    del caps[g]
             self.page_perms[page] = perms
 
     # -- raw inspection (runtime sweeps and test oracles) --------------
 
     def iter_tagged(self) -> Iterator[tuple[int, Capability]]:
         """Yield (granule base address, capability) for every tagged granule
-        in ascending address order.  The granules are read when iteration
-        starts, so the consumer may clear tags as it goes."""
-        for g, cap in sorted(self.granule_caps.items()):
-            yield g * GRANULE, cap
+        in ascending address order.  The granule indices are sorted and
+        every capability is read before the first item is yielded, so the
+        consumer may clear tags as it goes."""
+        caps = self.granule_caps
+        keys = sorted(caps)
+        yield from zip([g * GRANULE for g in keys], [caps[g] for g in keys])
 
     def clear_granule_tag(self, addr: int) -> None:
         self.granule_caps.pop(addr // GRANULE, None)

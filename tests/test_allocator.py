@@ -2,7 +2,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capsim.allocator import AllocError, CapAllocator, OutOfMemory, _coalesce, _round_up
 from capsim.capability import (
@@ -351,6 +351,43 @@ def test_revoke_matches_all_pairs_oracle(data):
     _revoke_and_compare(mem, alloc, stored)
 
 
+def test_revoke_iterates_once_and_clears_through_memory(setup, monkeypatch):
+    """One sweep reads the tagged granules with one `iter_tagged` and
+    clears each revoked one with one `clear_granule_tag`, nothing else."""
+    mem, alloc = setup
+    a, b, c, d = (alloc.malloc(64) for _ in range(4))
+    alloc.free(a)
+    alloc.free(c)
+    bounds = [
+        (a.base, a.top),               # a freed object
+        (b.base, b.top),               # a live object
+        (b.base, c.base + 1),          # live, reaching one byte into c
+        (b.base, c.base),              # ends where c's span starts
+        (a.base + 32, a.base + 16),    # inverted, inside a's span
+        (c.top - 1, d.top),            # starts on c's last byte
+        (d.base, d.base),              # zero length
+    ]
+    stored = _store(mem, bounds)
+    original_iter, original_clear = TaggedMemory.iter_tagged, TaggedMemory.clear_granule_tag
+    iterations, clears = [], []
+
+    def iter_tagged(self):
+        iterations.append(self)
+        return original_iter(self)
+
+    def clear_granule_tag(self, addr):
+        clears.append(addr)
+        original_clear(self, addr)
+
+    monkeypatch.setattr(TaggedMemory, "iter_tagged", iter_tagged)
+    monkeypatch.setattr(TaggedMemory, "clear_granule_tag", clear_granule_tag)
+    cleared = alloc.revoke()
+    untagged = [addr for addr in stored if not mem.granule_tag(addr)]
+    assert iterations == [mem]
+    assert clears == untagged == [SLOTS + i * GRANULE for i in (0, 2, 5)]
+    assert cleared == len(untagged)
+
+
 # -- realloc below one byte ----------------------------------------------------
 
 @pytest.mark.parametrize("n", [0, -1, -16, -100])
@@ -454,3 +491,23 @@ def test_release_matches_coalesce(granules, data):
     expected = _coalesce(alloc.free_list + [region])
     alloc._release(*region)
     assert alloc.free_list == expected
+
+
+def _painted_runs(regions):
+    """Maximal runs of the integer points that some region covers."""
+    points = {p for base, length in regions for p in range(base, base + length)}
+    runs = []
+    for p in sorted(points):
+        if runs and sum(runs[-1]) == p:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((p, 1))
+    return runs
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-40, 160), st.integers(-8, 48)), max_size=12))
+@example([(0, 100), (10, 5)])          # containment
+@example([(30, 10), (0, 30), (45, 0)])  # touching, unsorted, empty
+def test_coalesce_matches_painted_points(regions):
+    assert _coalesce(regions) == _painted_runs(regions)

@@ -143,6 +143,29 @@ class TestMprotect:
         mem.mprotect(PageProtRequest(0, 2 * PAGE, LD | ST, prot_cap=True))
         assert sorted(addr for addr, _ in mem.iter_tagged()) == before
 
+    def test_strip_reaches_both_edges_of_the_page_only(self, mem, auth):
+        # first and last granule of pages 0-2; only page 1 is stripped
+        edges = [page * PAGE + off for page in range(3) for off in (0, PAGE - GRANULE)]
+        for addr in edges:
+            mem.store_cap(auth, addr, make_root(addr, 0x10, LD))
+        mem.mprotect(PageProtRequest(PAGE, PAGE, Perm(0)))
+        mem.mprotect(PageProtRequest(PAGE, PAGE, LD | ST))
+        assert [mem.granule_tag(addr) for addr in edges] == [True, True, False, False, True, True]
+
+
+def test_iter_tagged_is_an_ascending_snapshot(mem, auth):
+    stored = {addr: make_root(addr, 0x10, LD) for addr in (3 * PAGE, PAGE + 0x40, 0x20, 0)}
+    for addr, value in stored.items():  # descending address order
+        mem.store_cap(auth, addr, value)
+    seen = []
+    for addr, value in mem.iter_tagged():
+        if not seen:  # clear every tag at the first item
+            for a in stored:
+                mem.clear_granule_tag(a)
+        seen.append((addr, value))
+    assert seen == sorted(stored.items())
+    assert list(mem.iter_tagged()) == []
+
 
 def test_tag_data_coherence_random_ops(mem, auth):
     rng = random.Random(42)
