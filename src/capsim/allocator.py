@@ -13,9 +13,9 @@ The free list is a sorted list of disjoint, coalesced (base, length)
 regions; with F entries, in-place realloc growth bisects it for the
 block at the object's end in O(log F), and a shrinking realloc returns
 its tail in O(log F) plus the list insert, merging it only with its
-neighbours.  malloc takes the lowest-addressed block that fits
-(first fit, a linear scan).  malloc and in-place growth both take bytes
-from the front of one free block with `_carve`, which drops a used-up block.
+neighbours.  A growth that does not fit in place is malloc, copy, free.
+malloc takes the lowest-addressed block that fits (first fit, a linear
+scan); it and in-place growth carve bytes from the front of a free block.
 """
 from __future__ import annotations
 
@@ -177,13 +177,11 @@ class CapAllocator:
             if i < len(free_list) and free_list[i][0] == tail and free_list[i][1] >= extra:
                 self._carve(i, extra)
             else:
-                # move: new region, copy contents, quarantine the old one
-                new_base = self._take(size)
-                self.live[new_base] = size
+                # move; allocating first leaves the heap unchanged on OutOfMemory
+                new = self.malloc(n)
                 payload = self.mem.load_bytes(self.arena, old.base, old_size)
-                self.mem.store_bytes(self.arena, new_base, payload)
-                del self.live[old.base]
-                self.quarantine.append((old.base, old_size))
-                return set_bounds(self.arena, new_base, size)
+                self.mem.store_bytes(self.arena, new.base, payload)
+                self.free(old)
+                return new
         self.live[old.base] = size
         return set_address(set_bounds(self.arena, old.base, size), old.address)

@@ -263,6 +263,8 @@ _BINOPS = {
     "and": lambda a, b: a & b,
     "or": lambda a, b: a | b,
     "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b if b < VALUE_WIDTH else 0,
+    "shr": lambda a, b: a >> b if b < VALUE_WIDTH else 0,
 }
 
 
@@ -291,19 +293,9 @@ def capint_binop(lhs, rhs, op: str,
     if lcap and rcap and advisories is not None:
         advisories.append("ambiguous-provenance")
 
-    a = _operand_value(lhs)
-    b = _operand_value(rhs)
-    if op in ("shl", "shr"):
-        if b >= VALUE_WIDTH:
-            value = 0  # sentinel for shift amount >= value width
-        elif op == "shl":
-            value = (a << b) & MASK64
-        else:
-            value = a >> b
-    elif op in _BINOPS:
-        value = _BINOPS[op](a, b) & MASK64
-    else:
+    if op not in _BINOPS:
         raise ValueError(f"unknown operation {op!r}")
+    value = _BINOPS[op](_operand_value(lhs), _operand_value(rhs)) & MASK64
 
     tag = source.tag
     if tag and source.seal is not _UNSEALED:

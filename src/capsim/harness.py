@@ -8,6 +8,7 @@ from . import __version__
 from .capability import SealMode
 from .scenarios import (
     CATALOGUE,
+    OPT_LEVELS,
     Scenario,
     ScenarioConfig,
     expected_outcome,
@@ -16,7 +17,7 @@ from .scenarios import (
 )
 
 _SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
-_OPT_CHOICES = {"O0": ["O0"], "O1": ["O1"], "both": ["O0", "O1"]}
+_OPT_CHOICES = {o: [o] for o in OPT_LEVELS} | {"both": list(OPT_LEVELS)}
 _MODE_CHOICES = {"buggy": ["buggy"], "fixed": ["fixed"], "both": ["buggy", "fixed"]}
 
 

@@ -11,9 +11,9 @@ variant must produce in each configuration, and whether the seal-mode
 and opt-level dimensions apply to it. `CATALOGUE`, the dict from id to
 `Scenario` record in registration order, is the only registry: the
 harness, the CLI and `expected_outcome` derive everything from it. A
-runner takes `(mode, cfg, payload=None)` and returns `(kind, fault,
-expected, actual, detail)`; `run_scenario` adds the id, the mode and the
-applicable configuration.
+runner takes `(vm, mode, cfg, payload)`, where `vm` is a fresh `MiniVm`
+per run, and returns `(kind, fault, expected, actual, detail)`;
+`run_scenario` adds the id, the mode and the applicable configuration.
 """
 from __future__ import annotations
 
@@ -51,6 +51,8 @@ from .vm import (
     utf8_lead_oracle,
 )
 
+OPT_LEVELS = ("O0", "O1")
+
 
 class OutcomeKind(Enum):
     OK = "ok"
@@ -63,6 +65,12 @@ class ScenarioConfig:
     seal_mode: SealMode = SealMode.FAULT_ON_MODIFY
     opt_level: str = "O0"
     seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.seal_mode, SealMode):
+            raise ValueError(f"seal mode must be a SealMode, not {self.seal_mode!r}")
+        if self.opt_level not in OPT_LEVELS:
+            raise ValueError(f"opt level must be one of {OPT_LEVELS}, not {self.opt_level!r}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +113,12 @@ SCENARIO_IDS = CATALOGUE.keys()
 def scenario(sid, name, title, category, buggy_expectation, *, buggy,
              seal_sensitive=False, opt_sensitive=False):
     """Register the decorated runner as scenario `sid`."""
-    def register(run):
+    def register(runner):
+        def run(mode, cfg, payload=None):
+            return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, payload)
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
                                   buggy, run, seal_sensitive, opt_sensitive)
-        return run
+        return runner
     return register
 
 
@@ -117,6 +127,7 @@ _CORRUPT = ("corrupt",)
 _BOUNDS = ("fault", FaultKind.BOUNDS)
 _TAG = ("fault", FaultKind.TAG)
 _SEAL = ("fault", FaultKind.SEAL)
+_WORD_MODEL = {"buggy": WordModel.PADDED_CAP, "fixed": WordModel.EXACT64}
 
 
 def _seal_fault_in_fault_mode(cfg: ScenarioConfig) -> tuple:
@@ -139,8 +150,7 @@ def _check(expected, actual, detail_ok="") -> tuple:
 
 @scenario("S1", "stack_scan_bounds", "invalid derived stack-scan pointer",
           "derived pointer", "BoundsFault (iteration 2)", buggy=lambda cfg: _BOUNDS)
-def _s1(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     refs = [0, 3, 7]
     entries = [("ref", r) for r in refs] + [("imm", 0x15), ("int", 0x1234)]
     vm.rng.shuffle(entries)
@@ -170,17 +180,15 @@ def _s1(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S2", "ambiguous_pointer", "dereferencing an ambiguous pointer",
           "ambiguous pointer", "TagFault", buggy=lambda cfg: _TAG)
-def _s2(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     dead = 5  # object reachable only via a pointer-like integer
     live = [1, 4]
     entries = [("ref", r) for r in live] + [("int", vm.object_addr(dead))]
     top = vm.lay_out_stack(entries)
 
-    variant = "buggy" if mode == "buggy" else "fixed"
     for v in vm.stack_values(top):
         try:
-            vm.gc_mark(v, variant)
+            vm.gc_mark(v, mode)
         except CapFault as f:
             return _fault(f, f"marking value @{v.address:#x}")
     return _check(sorted(live), sorted(vm.marked_objects()),
@@ -191,8 +199,7 @@ def _s2(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S3", "inplace_realloc", "stale capability after in-place realloc",
           "reallocation", "BoundsFault", buggy=lambda cfg: _BOUNDS)
-def _s3(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     old_size, new_size = 64, 128
     chunk = vm.alloc.malloc(old_size)
     first = bytes(vm.rng.randrange(256) for _ in range(old_size))
@@ -219,15 +226,13 @@ DEFAULT_MARK_SET = {3, 70, 127}
 
 @scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
           "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT)
-def _s4(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     if payload is not None:
         marks = set(payload)
     else:
         marks = set(DEFAULT_MARK_SET)
         marks |= set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
-    model = WordModel.PADDED_CAP if mode == "buggy" else WordModel.EXACT64
-    bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, model)
+    bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, _WORD_MODEL[mode])
     for i in sorted(marks):
         bitmap.set(i)
     return _check(sorted(marks), sorted(bitmap.bits()),
@@ -238,11 +243,9 @@ def _s4(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S5", "shape_id", "shape id shifted past the value width",
           "integer padding", "Corrupt (shape reads back 0)", buggy=lambda cfg: _CORRUPT)
-def _s5(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s5(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     shape_id = vm.rng.randrange(1, 1 << SHAPE_ID_NUM_BITS)
-    storage_bits = (WordModel.PADDED_CAP if mode == "buggy" else WordModel.EXACT64).storage_bits
-    shift = storage_bits - SHAPE_ID_NUM_BITS
+    shift = _WORD_MODEL[mode].storage_bits - SHAPE_ID_NUM_BITS
 
     header = vm.object_addr(0)
     flags = 0x19  # pre-existing low flag bits
@@ -267,15 +270,16 @@ DEFAULT_S6_TEXT = "héllo wörld, naïve café, héllo wörld!"
 
 @scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
           "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT)
-def _s6(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     if payload is None:
         raw = DEFAULT_S6_TEXT.encode()
     elif isinstance(payload, str):
         raw = payload.encode()
     else:
         raw = bytes(payload)
-    model = WordModel.PADDED_CAP if mode == "buggy" else WordModel.EXACT64
+    if not raw:
+        raise ValueError("S6 needs a non-empty text payload")
+    model = _WORD_MODEL[mode]
     buf = pad_utf8(raw, model.storage_bytes)
     chunk = vm.alloc.malloc(len(buf))
     vm.mem.store_bytes(chunk, chunk.base, buf)
@@ -304,8 +308,7 @@ def _find_symbol_oracle(addr: int) -> str | None:
 @scenario("S7", "backtrace_symbols", "symbol search on sealed return address",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
           buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
-def _s7(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     trace_addr = vm.return_address(CODE_BASE + 0x1A0)
     found = None
     for sym in SYMBOL_TABLE:
@@ -330,8 +333,7 @@ def _s7(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
           buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
-def _s8(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     addr = payload if payload is not None else CODE_BASE + 0x40
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
     oracle = insn_hash_int(addr & MASK64)
@@ -352,17 +354,15 @@ def _s8(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
           "sealed capability", "SealFault (O0 + fault mode) / Ok otherwise",
           buggy=lambda cfg: _seal_fault_in_fault_mode(cfg) if cfg.opt_level == "O0" else _OK,
           seal_sensitive=True, opt_sensitive=True)
-def _s9(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     refs = [2, 6]
     entries = [("ref", r) for r in refs] + [("ret", CODE_BASE + 0x180), ("imm", 0x2B)]
     vm.rng.shuffle(entries)
     top = vm.lay_out_stack(entries)
 
-    variant = "buggy" if mode == "buggy" else "fixed"
     for v in vm.stack_values(top):
         try:
-            if not vm.vm_immediate_p(v, variant, cfg.opt_level):
+            if not vm.vm_immediate_p(v, mode, cfg.opt_level):
                 vm.gc_mark(v, "fixed")
         except CapFault as f:
             return _fault(f, "immediate test created a sealed temporary")
@@ -374,8 +374,7 @@ def _s9(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S10", "downcast_sizet", "container downcast via a plain integer",
           "integer cast", "TagFault", buggy=lambda cfg: _TAG)
-def _s10(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s10(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     member_offset = 24  # fixed record-layout constant
     rec = vm.alloc.malloc(64)
     planted = vm.rng.getrandbits(64)
@@ -400,8 +399,7 @@ def _s10(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S11", "mprotect_tags", "page protection invalidates stored tags",
           "page protection", "TagFault", buggy=lambda cfg: _TAG)
-def _s11(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s11(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     slot = vm.heap_page.base  # page-aligned granule inside the heap page
     stored = vm.object_ref(3)
     vm.mem.store_cap(vm.heap_page, slot, stored)
@@ -423,8 +421,7 @@ def _s11(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
 
 @scenario("S12", "makecontext_args", "context copy truncates capability arguments",
           "context arguments", "TagFault", buggy=lambda cfg: _TAG)
-def _s12(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
-    vm = MiniVm(cfg.seal_mode, cfg.seed)
+def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     ctx = vm.alloc.malloc(64)
     arg = vm.object_ref(9)
     header = vm.rng.getrandbits(64)
@@ -446,9 +443,11 @@ def _s12(mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def _lookup(sid: str) -> Scenario:
+def _lookup(sid: str, mode: str) -> Scenario:
     if sid not in CATALOGUE:
         raise ValueError(f"unknown scenario id {sid!r}")
+    if mode not in ("buggy", "fixed"):
+        raise ValueError(f"mode must be 'buggy' or 'fixed', not {mode!r}")
     return CATALOGUE[sid]
 
 
@@ -456,9 +455,7 @@ def run_scenario(sid: str, mode: str,
                  config: ScenarioConfig | None = None,
                  payload=None) -> ScenarioOutcome:
     """Run one scenario variant on a fresh simulator instance."""
-    record = _lookup(sid)
-    if mode not in ("buggy", "fixed"):
-        raise ValueError(f"mode must be 'buggy' or 'fixed', not {mode!r}")
+    record = _lookup(sid, mode)
     cfg = config or ScenarioConfig()
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode.value if record.seal_sensitive else None,
@@ -471,7 +468,8 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig) -> tuple:
 
     Returns ("ok",), ("fault", FaultKind) or ("corrupt",).
     """
-    return _OK if mode == "fixed" else _lookup(sid).buggy(cfg)
+    record = _lookup(sid, mode)
+    return _OK if mode == "fixed" else record.buggy(cfg)
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:

@@ -65,8 +65,7 @@ class MarkBitmap:
     size (128 bits), so bit offsets of 64 and above fall into padding:
     the shift saturates to the sentinel 0 and the or-update is dropped.
     Under the exact-width model every bit is addressable.  An index
-    outside the words' storage bits raises `ValueError`; indices from
-    nbits to the end of the last word are storage that `bits` ignores.
+    outside [0, nbits) raises `ValueError`.
     """
 
     nbits: int
@@ -79,10 +78,9 @@ class MarkBitmap:
 
     def _locate(self, i: int) -> tuple[int, int]:
         """(word index, bit offset in the word) of bit `i`."""
-        stride = self.model.storage_bits
-        if not 0 <= i < len(self.words) * stride:
-            raise ValueError(f"bit index {i} outside [0, {len(self.words) * stride})")
-        return divmod(i, stride)
+        if not 0 <= i < self.nbits:
+            raise ValueError(f"bit index {i} outside [0, {self.nbits})")
+        return divmod(i, self.model.storage_bits)
 
     def set(self, i: int) -> None:
         index, offset = self._locate(i)
@@ -188,9 +186,7 @@ class MiniVm:
 
     def object_ref(self, index: int) -> Capability:
         """Reference to heap object `index`, with page-wide bounds."""
-        return set_address(self.heap_page,
-                           self.heap_page.base + index * OBJECT_SLOT,
-                           self.seal_mode)
+        return set_address(self.heap_page, self.object_addr(index), self.seal_mode)
 
     def object_addr(self, index: int) -> int:
         return self.heap_page.base + index * OBJECT_SLOT

@@ -502,6 +502,8 @@ def test_derivations_match_replace_reference(c, mode, new_base, new_length, perm
 @settings(max_examples=300)
 @given(any_caps(), st.one_of(any_caps(), st.integers(-ADDRESS_SPACE, 2 * ADDRESS_SPACE)),
        st.booleans(), st.sampled_from(BINOPS), seal_modes)
+# a right shift of a negative address wraps to 64 bits like every other op
+@example(set_bounds(make_root(0, 64, LD), -16, 8), 2, True, "shr", SealMode.FAULT_ON_MODIFY)
 def test_capint_binop_matches_replace_reference(c, other, cap_on_left, op, mode):
     lhs, rhs = (c, other) if cap_on_left else (other, c)
     got_adv, want_adv = [], []

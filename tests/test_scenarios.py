@@ -5,6 +5,7 @@ import pytest
 
 from capsim.capability import FaultKind, SealMode
 from capsim.harness import RunSpec, _configs_for
+from capsim.vm import MiniVm
 from capsim.scenarios import (
     CATALOGUE,
     SCENARIO_IDS,
@@ -24,6 +25,34 @@ def test_unknown_scenario_rejected():
         run_scenario("S99", "buggy")
     with pytest.raises(ValueError):
         run_scenario("S1", "weird")
+
+
+def test_expected_outcome_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        expected_outcome("S1", "weird", ScenarioConfig())
+
+
+@pytest.mark.parametrize("field", [{"seal_mode": "fault"}, {"opt_level": "O7"}],
+                         ids=["seal_mode", "opt_level"])
+def test_config_rejects_an_unknown_dimension_value(field):
+    with pytest.raises(ValueError):
+        ScenarioConfig(**field)
+
+
+def test_each_run_builds_one_vm_from_its_config(monkeypatch):
+    built = []
+    init = MiniVm.__init__
+
+    def recording_init(self, seal_mode, seed):
+        built.append((seal_mode, seed))
+        init(self, seal_mode, seed)
+    monkeypatch.setattr(MiniVm, "__init__", recording_init)
+    cfg = ScenarioConfig(seal_mode=SealMode.INVALIDATE_ON_MODIFY, seed=7)
+    for sid in SCENARIO_IDS:
+        for mode in ("buggy", "fixed"):
+            built.clear()
+            run_scenario(sid, mode, cfg)
+            assert built == [(SealMode.INVALIDATE_ON_MODIFY, 7)], (sid, mode)
 
 
 def test_s1_buggy_bounds_fault_on_iteration_2():
@@ -62,6 +91,12 @@ def test_s5_buggy_shape_reads_back_zero():
 def test_s6_fixed_hello_counts_5():
     out = run_scenario("S6", "fixed", payload="héllo")
     assert out.kind is OutcomeKind.OK and "counted 5" in out.detail
+
+
+@pytest.mark.parametrize("payload", ["", b""], ids=["str", "bytes"])
+def test_s6_rejects_an_empty_payload(payload):
+    with pytest.raises(ValueError):
+        run_scenario("S6", "fixed", payload=payload)
 
 
 def test_s6_buggy_undercounts():

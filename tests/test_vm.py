@@ -201,12 +201,17 @@ def test_return_address_is_sealed_entry():
 @given(st.sampled_from(list(WordModel)), st.integers(1, 300), st.data())
 def test_mark_bitmap_bits_matches_per_bit_test(model, nbits, data):
     """bits() read from the words equals the set of indices below nbits
-    that test() reports, after set() calls (some at indices past nbits
-    that still land in the last word) or raw words of any value."""
+    that test() reports, after set() calls or raw words of any value; the
+    indices past nbits that still land in the last word are rejected."""
     bm = MarkBitmap(nbits, model)
     last = len(bm.words) * model.storage_bits - 1
-    for i in data.draw(st.lists(st.integers(0, last), max_size=40)):
+    for i in data.draw(st.lists(st.integers(0, nbits - 1), max_size=40)):
         bm.set(i)
+    for i in range(nbits, last + 1):
+        with pytest.raises(ValueError):
+            bm.set(i)
+        with pytest.raises(ValueError):
+            bm.test(i)
     if data.draw(st.booleans()):
         bm.words = data.draw(st.lists(st.integers(-(1 << 130), 1 << 130),
                                       min_size=len(bm.words), max_size=len(bm.words)))
