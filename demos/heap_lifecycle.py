@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Walkthrough of the quarantine/revocation heap lifecycle."""
-from capsim import CapAllocator, CapFault, Perm, TaggedMemory, make_root
+from capsim import AllocError, CapAllocator, CapFault, Perm, TaggedMemory, make_root, set_bounds
 
 mem = TaggedMemory(0x8000)
 arena = make_root(0x1000, 0x4000, Perm.LOAD | Perm.STORE)
@@ -39,3 +39,10 @@ try:
     mem.store_bytes(c, c.base + 48, b"x")
 except CapFault as f:
     print(f"  write to the grown area via the old capability -> {f}")
+
+print("\nonly the object's own capability frees or resizes it:")
+view = set_bounds(grown, grown.base, 16)
+try:
+    alloc.realloc(view, 64)
+except AllocError as e:
+    print(f"  realloc of a 16-byte view -> {e}")

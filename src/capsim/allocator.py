@@ -5,17 +5,20 @@ an explicit revocation sweep clears the tag of every stored capability
 whose bounds intersect a quarantined region, after which the regions
 become reusable.  realloc follows capability semantics: the returned
 capability is always a fresh derivation and the caller's old capability
-keeps its old bounds.  free and realloc require a tagged, unsealed
-capability whose base is that of a live allocation, so bits that merely
-look like a pointer cannot release or resize an object.
+keeps its old bounds.  Only an object's own capability frees or resizes
+it: tagged, unsealed, with exactly its bounds and the arena's permissions
+(at any address), so neither bits that look like a pointer nor a narrowed
+or read-only view can release, resize or widen it.
 
 The free list is a sorted list of disjoint, coalesced (base, length)
-regions; with F entries, in-place realloc growth bisects it for the
-block at the object's end in O(log F), and a shrinking realloc returns
-its tail in O(log F) plus the list insert, merging it only with its
-neighbours.  A growth that does not fit in place is malloc, copy, free.
-malloc takes the lowest-addressed block that fits (first fit, a linear
-scan); it and in-place growth carve bytes from the front of a free block.
+regions.  malloc takes the lowest-addressed block that fits (first fit,
+a linear scan) and carves bytes from its front.  realloc to `size` bytes
+has one rule: with `after` the length of the free block that starts at
+the object's end (0 if none) and `rest = after + old_size - size`, the
+object moves (malloc, copy, free) if `rest < 0`; otherwise one free-list
+write makes (base + size, rest) that block, inserting it, or dropping it
+when `rest` is 0.  A shrink, an equal size and growth in place are all
+this write, after one O(log F) bisection of the F-entry free list.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .capability import Capability, SealState, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
+_UNSEALED = SealState.UNSEALED  # cheaper to read than the enum's attribute
 
 
 class AllocError(Exception):
@@ -37,11 +41,6 @@ class OutOfMemory(AllocError):
 
 def _round_up(n: int) -> int:
     return (n + ALIGN - 1) // ALIGN * ALIGN
-
-
-def _require_authority(cap: Capability, what: str) -> None:
-    if not cap.tag or cap.seal is not SealState.UNSEALED:
-        raise AllocError(f"{what} through an untagged or sealed capability @{cap.base:#x}")
 
 
 def _coalesce(regions) -> list[tuple[int, int]]:
@@ -76,37 +75,29 @@ class CapAllocator:
 
     # -- internal free-list management --------------------------------
 
-    def _carve(self, i: int, size: int) -> int:
-        """Take `size` bytes from the front of free block `i` (which holds
-        at least that many) and return their base; a used-up block goes."""
-        base, length = self.free_list[i]
-        if length == size:
-            del self.free_list[i]
-        else:
-            self.free_list[i] = (base + size, length - size)
-        return base
-
     def _take(self, size: int) -> int:
-        """First-fit: carve `size` bytes out of the free list."""
-        for i, (base, length) in enumerate(self.free_list):
+        """First-fit: carve `size` bytes from the front of the lowest free
+        block that holds them and return their base; a used-up block goes."""
+        free_list = self.free_list
+        for i, (base, length) in enumerate(free_list):
             if length >= size:
-                return self._carve(i, size)
+                if length == size:
+                    del free_list[i]
+                else:
+                    free_list[i] = (base + size, length - size)
+                return base
         raise OutOfMemory(f"no free region of {size} bytes")
 
-    def _release(self, base: int, length: int) -> None:
-        """Return one non-empty region that no free block overlaps to the
-        free list, merged with the blocks it touches on either side, so
-        the list stays `_coalesce` of its old blocks plus the region."""
-        free_list = self.free_list
-        top = base + length
-        lo = hi = bisect_left(free_list, (base,))
-        if lo and sum(free_list[lo - 1]) == base:  # the block before ends here
-            lo -= 1
-            base = free_list[lo][0]
-        if hi < len(free_list) and free_list[hi][0] == top:
-            top += free_list[hi][1]
-            hi += 1
-        free_list[lo:hi] = [(base, top - base)]
+    def _object_size(self, cap: Capability, what: str) -> int:
+        """The size of the live object whose own capability `cap` is:
+        tagged, unsealed, with exactly the object's bounds and the arena's
+        permissions, at any address."""
+        size = self.live.get(cap.base)
+        if (size != cap.top - cap.base or not cap.tag
+                or cap.seal is not _UNSEALED or cap.perms != self.arena.perms):
+            raise AllocError(f"{what} needs a live object's own capability,"
+                             f" not [{cap.base:#x},{cap.top:#x})")
+        return size
 
     # -- public surface ------------------------------------------------
 
@@ -119,10 +110,8 @@ class CapAllocator:
         return set_bounds(self.arena, base, size)
 
     def free(self, cap: Capability) -> None:
-        _require_authority(cap, "free")
-        size = self.live.pop(cap.base, None)
-        if size is None:
-            raise AllocError(f"free of unknown or already-freed base {cap.base:#x}")
+        size = self._object_size(cap, "free")
+        del self.live[cap.base]
         self.quarantine.append((cap.base, size))
 
     def revoke(self) -> int:
@@ -138,8 +127,10 @@ class CapAllocator:
         ending after `base` can intersect it, and it does exactly when it
         starts below `top` and `base < top`; each tagged capability bisects
         the span ends for that span.  With T tagged granules, Q quarantined
-        regions and F free-list entries the sweep costs
-        O(T log Q + Q log Q + F).  Returns the number of tags cleared.
+        regions and F free-list entries the sweep costs O(T log Q + Q log Q
+        + F), plus `iter_tagged`'s sort of the granule indices: O(T) when
+        the side table already holds them in ascending order, else O(T log T).
+        Returns the number of tags cleared.
         """
         spans = _coalesce(self.quarantine)
         starts = [start for start, _ in spans]
@@ -159,29 +150,22 @@ class CapAllocator:
         return cleared
 
     def realloc(self, old: Capability, n: int) -> Capability:
-        _require_authority(old, "realloc")
-        old_size = self.live.get(old.base)
-        if old_size is None:
-            raise AllocError(f"realloc of unknown base {old.base:#x}")
+        old_size = self._object_size(old, "realloc")
         if n < 1:
             raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
-        extra = size - old_size
-        if extra < 0:
-            self._release(old.base + size, -extra)
-        elif extra > 0:
-            # growth: in place if the free block at the object's end fits
-            tail = old.base + old_size
-            free_list = self.free_list
-            i = bisect_left(free_list, (tail,))  # (tail,) sorts before (tail, length)
-            if i < len(free_list) and free_list[i][0] == tail and free_list[i][1] >= extra:
-                self._carve(i, extra)
-            else:
-                # move; allocating first leaves the heap unchanged on OutOfMemory
-                new = self.malloc(n)
-                payload = self.mem.load_bytes(self.arena, old.base, old_size)
-                self.mem.store_bytes(self.arena, new.base, payload)
-                self.free(old)
-                return new
+        end = old.base + old_size
+        free_list = self.free_list
+        i = bisect_left(free_list, (end,))  # (end,) sorts before (end, length)
+        after = free_list[i][1] if i < len(free_list) and free_list[i][0] == end else 0
+        rest = after + old_size - size
+        if rest < 0:
+            # move; allocating first leaves the heap unchanged on OutOfMemory
+            new = self.malloc(n)
+            payload = self.mem.load_bytes(self.arena, old.base, old_size)
+            self.mem.store_bytes(self.arena, new.base, payload)
+            self.free(old)
+            return new
+        free_list[i:i + 1 if after else i] = [(old.base + size, rest)] if rest else []
         self.live[old.base] = size
         return set_address(set_bounds(self.arena, old.base, size), old.address)

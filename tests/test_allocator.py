@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from capsim.allocator import AllocError, CapAllocator, OutOfMemory, _coalesce, _round_up
 from capsim.capability import (
-    CapFault, Capability, FaultKind, Perm, SealState, make_root, seal_entry, set_address,
+    CapFault, Capability, FaultKind, Perm, SealState, make_root, restrict_perms, seal_entry,
+    set_address, set_bounds,
 )
 from capsim.memory import GRANULE, PAGE, TaggedMemory
 
@@ -207,6 +208,45 @@ def test_realloc_rejects_capability_without_authority(exec_setup, forge, n):
     assert alloc.realloc(b, n).tag
 
 
+# Views of a live object: tagged and unsealed, but narrower than the object
+# or with fewer permissions.  Only the object's own capability frees or
+# resizes it, so a view can neither release the object nor widen itself.
+VIEWS = {
+    "narrowed": lambda b: set_bounds(b, b.base, 16),
+    "read-only": lambda b: restrict_perms(b, Perm.LOAD),
+    "narrowed-read-only": lambda b: restrict_perms(set_bounds(b, b.base, 16), Perm.LOAD),
+}
+CALLS = {"free": None, "shrink": 32, "equal": 64, "grow": 96}  # realloc sizes of a 64-byte object
+
+
+def _free_or_realloc(alloc, cap, n):
+    return alloc.free(cap) if n is None else alloc.realloc(cap, n)
+
+
+@pytest.mark.parametrize("n", CALLS.values(), ids=CALLS)
+@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS)
+def test_free_and_realloc_reject_a_view_of_the_object(setup, view, n):
+    _, alloc = setup
+    b = alloc.malloc(64)
+    v = view(b)
+    assert v.tag and v.seal is SealState.UNSEALED and v.base == b.base
+    before = _allocator_state(alloc)
+    with pytest.raises(AllocError):
+        _free_or_realloc(alloc, v, n)
+    assert _allocator_state(alloc) == before
+
+
+@pytest.mark.parametrize("n", CALLS.values(), ids=CALLS)
+def test_own_capability_frees_or_resizes_at_any_address(setup, n):
+    _, alloc = setup
+    b = alloc.malloc(64)
+    out = _free_or_realloc(alloc, set_address(b, b.base + 16), n)
+    if n is None:
+        assert alloc.quarantine == [(b.base, 64)] and not alloc.live
+    else:
+        assert (out.base, out.length, out.address) == (b.base, n, b.base + 16)
+
+
 def _check_disjoint(alloc):
     regions = sorted((b, l) for b, l in alloc.live.items())
     for (b1, l1), (b2, l2) in zip(regions, regions[1:]):
@@ -404,7 +444,7 @@ def test_realloc_below_one_byte_raises(setup, n):
     assert alloc.quarantine == [(y.base, 32)]
 
 
-# -- the free list under bisected growth and single-region release -----------
+# -- the free list under in-place resizes, moves and first fit ---------------
 
 def _free_gaps(alloc):
     """The arena minus live and quarantined regions, as maximal runs: what
@@ -475,22 +515,34 @@ def test_free_list_matches_coalesced_regions_after_every_step(steps):
         assert alloc.free_list == _coalesce(alloc.free_list) == _free_gaps(alloc)
 
 
-@settings(max_examples=300)
-@given(st.lists(st.booleans(), min_size=2, max_size=48), st.data())
-def test_release_matches_coalesce(granules, data):
-    """_release of one region merges it with a free neighbour on either
-    side, both or neither, exactly as a full `_coalesce` would."""
-    start = data.draw(st.integers(0, len(granules) - 1))
-    end = data.draw(st.integers(start + 1, len(granules)))
-    free = [(ARENA_BASE + i * GRANULE, GRANULE) for i, f in enumerate(granules)
-            if f and not start <= i < end]
-    alloc = CapAllocator(TaggedMemory(8 * PAGE),
-                         make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE))
-    alloc.free_list = _coalesce(free)
-    region = (ARENA_BASE + start * GRANULE, (end - start) * GRANULE)
-    expected = _coalesce(alloc.free_list + [region])
-    alloc._release(*region)
-    assert alloc.free_list == expected
+@pytest.mark.parametrize("free_after", [False, True], ids=["alone", "joins-block-after"])
+def test_shrink_tail_joins_the_free_block_after_the_object(setup, free_after):
+    """A shrinking realloc frees its tail at once, merged with the free
+    block that starts where the object ends, exactly as `_coalesce` would."""
+    _, alloc = setup
+    a, b = alloc.malloc(64), alloc.malloc(32)
+    alloc.malloc(16)  # keeps b's region apart from the arena's free tail
+    if free_after:
+        alloc.free(b)
+        alloc.revoke()
+    before = list(alloc.free_list)
+    alloc.realloc(a, 16)
+    assert alloc.free_list == _coalesce(before + [(a.base + 16, 48)])
+
+
+@pytest.mark.parametrize("grow", [False, True], ids=["equal-size", "grow-into-whole-block"])
+def test_in_place_resize_leaves_no_empty_block(setup, grow):
+    """An equal-size realloc with no free block after the object, and a
+    growth that uses up that block, leave no zero-length block behind."""
+    _, alloc = setup
+    a, b = alloc.malloc(32), alloc.malloc(32)
+    alloc.malloc(16)  # keeps b's region apart from the arena's free tail
+    if grow:
+        alloc.free(b)
+        alloc.revoke()
+    before = list(alloc.free_list)
+    alloc.realloc(a, 64 if grow else 32)
+    assert alloc.free_list == [block for block in before if block[0] != a.top]
 
 
 def _painted_runs(regions):
