@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .capability import Capability, SealState, set_address, set_bounds
+from .capability import _UNSEALED, Capability, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
-_UNSEALED = SealState.UNSEALED  # cheaper to read than the enum's attribute
 
 
 class AllocError(Exception):

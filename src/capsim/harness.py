@@ -8,6 +8,7 @@ from . import __version__
 from .capability import SealMode
 from .scenarios import (
     CATALOGUE,
+    MODES,
     OPT_LEVELS,
     Scenario,
     ScenarioConfig,
@@ -18,7 +19,7 @@ from .scenarios import (
 
 _SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
 _OPT_CHOICES = {o: [o] for o in OPT_LEVELS} | {"both": list(OPT_LEVELS)}
-_MODE_CHOICES = {"buggy": ["buggy"], "fixed": ["fixed"], "both": ["buggy", "fixed"]}
+_MODE_CHOICES = {m: [m] for m in MODES} | {"both": list(MODES)}
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,21 @@ agreed), Fault (an architectural fault fired), or Corrupt (the buggy
 idiom silently produced a wrong value, reported as expected vs actual).
 
 A scenario is one runner function registered with the `@scenario`
-decorator, which records its catalogue text, the outcome its buggy
-variant must produce in each configuration, and whether the seal-mode
-and opt-level dimensions apply to it. `CATALOGUE`, the dict from id to
-`Scenario` record in registration order, is the only registry: the
-harness, the CLI and `expected_outcome` derive everything from it. A
-runner takes `(vm, mode, cfg, payload)`, where `vm` is a fresh `MiniVm`
-per run, and returns `(kind, fault, expected, actual, detail)`;
-`run_scenario` adds the id, the mode and the applicable configuration.
+decorator, which records its catalogue text and the outcome its buggy
+variant must produce in each configuration; whether the seal-mode and
+opt-level dimensions apply follows from that outcome. `CATALOGUE`, the
+dict from id to `Scenario` record in registration order, is the only
+registry: the harness, the CLI and `expected_outcome` derive everything
+from it. A runner takes `(vm, mode, cfg, payload)`, where `vm` is a
+fresh `MiniVm` per run, and returns `(kind, fault, expected, actual,
+detail)`; `run_scenario` adds the id, the mode and the applicable
+configuration. A payload of the wrong type raises `ValueError`.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -52,6 +54,7 @@ from .vm import (
 )
 
 OPT_LEVELS = ("O0", "O1")
+MODES = ("buggy", "fixed")
 
 
 class OutcomeKind(Enum):
@@ -90,9 +93,9 @@ class ScenarioOutcome:
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
     its buggy variant must produce in `cfg`: ("ok",), ("fault",
-    FaultKind) or ("corrupt",); the fixed variant is always Ok. The
-    seal-mode dimension applies only if `seal_sensitive`, the opt-level
-    dimension only if `opt_sensitive`."""
+    FaultKind) or ("corrupt",); the fixed variant is always Ok. A dimension
+    applies (`seal_sensitive`, `opt_sensitive`) when changing it alone
+    changes what `buggy` returns; both are worked out once, on creation."""
     sid: str
     name: str
     title: str
@@ -100,8 +103,14 @@ class Scenario:
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
     run: Callable[..., tuple]
-    seal_sensitive: bool = False
-    opt_sensitive: bool = False
+    seal_sensitive: bool = field(init=False)
+    opt_sensitive: bool = field(init=False)
+
+    def __post_init__(self):
+        # one row per opt level, one column per seal mode
+        grid = [[self.buggy(ScenarioConfig(s, o)) for s in SealMode] for o in OPT_LEVELS]
+        object.__setattr__(self, "seal_sensitive", any(len(set(row)) > 1 for row in grid))
+        object.__setattr__(self, "opt_sensitive", any(len(set(col)) > 1 for col in zip(*grid)))
 
 
 CATALOGUE: dict[str, Scenario] = {}
@@ -110,14 +119,13 @@ CATALOGUE: dict[str, Scenario] = {}
 SCENARIO_IDS = CATALOGUE.keys()
 
 
-def scenario(sid, name, title, category, buggy_expectation, *, buggy,
-             seal_sensitive=False, opt_sensitive=False):
+def scenario(sid, name, title, category, buggy_expectation, *, buggy):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
         def run(mode, cfg, payload=None):
             return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, payload)
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
-                                  buggy, run, seal_sensitive, opt_sensitive)
+                                  buggy, run)
         return runner
     return register
 
@@ -156,22 +164,16 @@ def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     vm.rng.shuffle(entries)
     top = vm.lay_out_stack(entries)
 
-    if mode == "buggy":
-        # take the scan pointer from the address of a single stack slot:
-        # its bounds cover only that slot
-        scan = set_bounds(vm.stack_cap, top, STACK_SLOT)
-        for i in range(len(entries)):
-            try:
-                v = vm.mem.load_cap(scan, scan.address)
-            except CapFault as f:
-                return _fault(f, f"iteration {i + 1}")
+    # buggy: the scan pointer comes from the address of a single stack slot,
+    # so its bounds cover only that slot; fixed: from the stack capability
+    through = set_bounds(vm.stack_cap, top, STACK_SLOT) if mode == "buggy" else None
+    scanned = 0
+    try:
+        for v in vm.stack_values(top, through):
+            scanned += 1
             vm.gc_mark(v, "fixed")
-            scan = set_address(scan, scan.address + STACK_SLOT, cfg.seal_mode)
-        return _check("bounds fault", "completed")
-
-    # fixed: derive the scan pointer from the stack super capability
-    for v in vm.stack_values(top):
-        vm.gc_mark(v, "fixed")
+    except CapFault as f:
+        return _fault(f, f"iteration {scanned + 1}")
     return _check(sorted(refs), sorted(vm.marked_objects()),
                   detail_ok=f"marked {len(refs)} objects")
 
@@ -227,11 +229,14 @@ DEFAULT_MARK_SET = {3, 70, 127}
 @scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
           "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT)
 def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    if payload is not None:
-        marks = set(payload)
-    else:
+    if payload is None:
         marks = set(DEFAULT_MARK_SET)
         marks |= set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
+    else:
+        items = list(payload) if isinstance(payload, Iterable) else None
+        if items is None or not all(isinstance(i, int) for i in items):
+            raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
+        marks = set(items)
     bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, _WORD_MODEL[mode])
     for i in sorted(marks):
         bitmap.set(i)
@@ -275,8 +280,10 @@ def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
         raw = DEFAULT_S6_TEXT.encode()
     elif isinstance(payload, str):
         raw = payload.encode()
-    else:
+    elif isinstance(payload, (bytes, bytearray, memoryview)):
         raw = bytes(payload)
+    else:
+        raise ValueError(f"S6 needs a str or bytes-like payload, not {payload!r}")
     if not raw:
         raise ValueError("S6 needs a non-empty text payload")
     model = _WORD_MODEL[mode]
@@ -307,7 +314,7 @@ def _find_symbol_oracle(addr: int) -> str | None:
 
 @scenario("S7", "backtrace_symbols", "symbol search on sealed return address",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
-          buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
+          buggy=_seal_fault_in_fault_mode)
 def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     trace_addr = vm.return_address(CODE_BASE + 0x1A0)
     found = None
@@ -332,9 +339,11 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
-          buggy=_seal_fault_in_fault_mode, seal_sensitive=True)
+          buggy=_seal_fault_in_fault_mode)
 def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    addr = payload if payload is not None else CODE_BASE + 0x40
+    addr = CODE_BASE + 0x40 if payload is None else payload
+    if not isinstance(addr, int):
+        raise ValueError(f"S8 needs an int address, not {payload!r}")
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
     oracle = insn_hash_int(addr & MASK64)
     if mode == "buggy":
@@ -352,8 +361,7 @@ def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S9", "immediate_test_sealed", "immediate test on a sealed return address",
           "sealed capability", "SealFault (O0 + fault mode) / Ok otherwise",
-          buggy=lambda cfg: _seal_fault_in_fault_mode(cfg) if cfg.opt_level == "O0" else _OK,
-          seal_sensitive=True, opt_sensitive=True)
+          buggy=lambda cfg: _seal_fault_in_fault_mode(cfg) if cfg.opt_level == "O0" else _OK)
 def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     refs = [2, 6]
     entries = [("ref", r) for r in refs] + [("ret", CODE_BASE + 0x180), ("imm", 0x2B)]
@@ -446,8 +454,8 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 def _lookup(sid: str, mode: str) -> Scenario:
     if sid not in CATALOGUE:
         raise ValueError(f"unknown scenario id {sid!r}")
-    if mode not in ("buggy", "fixed"):
-        raise ValueError(f"mode must be 'buggy' or 'fixed', not {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     return CATALOGUE[sid]
 
 

@@ -41,6 +41,7 @@ HEAP_PAGE_BYTES = PAGE
 SHAPE_ID_NUM_BITS = 16
 
 NONASCII_MASK = 0x8080808080808080
+_HASH_SHIFTS = (11, 3)  # the dispatch hash's two shift distances
 
 # memory layout of one VM instance
 MEM_SIZE = 0x10000
@@ -143,7 +144,7 @@ def pad_utf8(buf: bytes, stride: int) -> bytes:
 
 def insn_hash_int(n: int) -> int:
     """Dispatch-routine hash on a plain 64-bit integer."""
-    s1, s2 = 11, 3
+    s1, s2 = _HASH_SHIFTS
     return (((n >> s1) | ((n << s2) & MASK64)) ^ (n >> s2)) & MASK64
 
 
@@ -154,7 +155,7 @@ def insn_hash_capint(n: CapInt, mode: SealMode,
     Every step modifies the address of a temporary derived from `n`, so
     a sealed input hits the seal-semantics mode at the first shift.
     """
-    s1, s2 = 11, 3
+    s1, s2 = _HASH_SHIFTS
     a = capint_binop(n, s1, "shr", mode, advisories)
     b = capint_binop(n, s2, "shl", mode, advisories)
     c = capint_binop(a, b, "or", mode, advisories)
@@ -224,11 +225,12 @@ class MiniVm:
                 raise ValueError(f"unknown stack entry kind {kind!r}")
         return top
 
-    def stack_values(self, top: int) -> Iterator[Capability]:
+    def stack_values(self, top: int,
+                     through: Capability | None = None) -> Iterator[Capability]:
         """Yield the value in each stack slot from `top` up to the stack
-        bottom, loaded through a scan pointer derived from the stack
-        capability, whose bounds cover the whole stack."""
-        scan = set_address(self.stack_cap, top, self.seal_mode)
+        bottom, loaded through a scan pointer moved to `top` from `through`,
+        by default the stack capability, whose bounds cover the whole stack."""
+        scan = set_address(self.stack_cap if through is None else through, top, self.seal_mode)
         while scan.address < self.stack_bottom:
             yield self.mem.load_cap(scan, scan.address)
             scan = set_address(scan, scan.address + STACK_SLOT, self.seal_mode)

@@ -464,7 +464,7 @@ def _first_fit(gaps, size):
 
 
 churn_steps = st.lists(st.tuples(
-    st.sampled_from(["malloc", "free", "shrink", "grow", "grow_far", "revoke"]),
+    st.sampled_from(["malloc", "free", "shrink", "same", "grow", "grow_far", "revoke"]),
     st.integers(0, 1 << 16), st.integers(1, 600)), max_size=60)
 
 
@@ -498,6 +498,8 @@ def test_free_list_matches_coalesced_regions_after_every_step(steps):
             old = live[i]
             if op == "shrink":
                 n = 1 + n % old.length
+            elif op == "same":
+                n = old.length
             else:
                 n += old.length if op == "grow" else 4 * old.length
             size = _round_up(n)

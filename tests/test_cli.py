@@ -6,10 +6,11 @@ import stat
 import pytest
 
 from capsim import cli
-from capsim.capability import FaultKind
+from capsim.capability import CapFault, FaultKind, SealMode
 from capsim.cli import EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from capsim.harness import RunSpec, run_matrix
-from capsim.scenarios import CATALOGUE, SCENARIO_IDS, OutcomeKind, Scenario
+from capsim.scenarios import CATALOGUE, SCENARIO_IDS, OutcomeKind, Scenario, scenario
+from capsim.vm import CODE_BASE
 
 
 def test_list_has_twelve_rows(capsys):
@@ -278,6 +279,37 @@ def test_a_registered_scenario_appears_everywhere(monkeypatch, capsys):
         assert report["summary"] == {"total": 36, "passed": 36, "failed": 0}
     assert list(CATALOGUE.items()) == before
     assert "S13" not in SCENARIO_IDS and len(SCENARIO_IDS) == 12
+
+
+def test_a_registered_scenario_runs_in_the_dimensions_its_expectation_varies_in(
+        monkeypatch, capsys):
+    """A scenario whose buggy variant faults only at O1 under fault mode
+    gets both dimensions without saying so: four buggy cells."""
+    monkeypatch.setitem(CATALOGUE, "S13", None)  # the key goes again at teardown
+
+    def buggy(cfg):
+        faults = (cfg.seal_mode, cfg.opt_level) == (SealMode.FAULT_ON_MODIFY, "O1")
+        return ("fault", FaultKind.SEAL) if faults else ("ok",)
+
+    @scenario("S13", "seal_at_o1", "a sealed temporary at O1 only", "test",
+              "SealFault (O1 + fault mode) / Ok otherwise", buggy=buggy)
+    def _s13(vm, mode, cfg, payload):
+        if mode == "buggy" and cfg.opt_level == "O1":
+            try:
+                vm.binop(vm.return_address(CODE_BASE), 1, "add")
+            except CapFault as f:
+                return OutcomeKind.FAULT, f.kind, None, None, "sealed temporary"
+        return OK
+
+    assert (CATALOGUE["S13"].seal_sensitive, CATALOGUE["S13"].opt_sensitive) == (True, True)
+    report = json.loads(_stdout_of(["run", "all", "--mode", "buggy", "--format", "json"], capsys))
+    cells = {(r["seal_mode"], r["opt_level"]): r for r in report["records"]
+             if r["scenario"] == "S13"}
+    assert sorted(cells) == [("fault", "O0"), ("fault", "O1"),
+                             ("invalidate", "O0"), ("invalidate", "O1")]
+    assert all(r["pass"] for r in cells.values())
+    faulted = [cell for cell, r in cells.items() if r["outcome"]["kind"] == "fault"]
+    assert faulted == [("fault", "O1")]
 
 
 def test_contradicted_expectation_exits_with_failures(monkeypatch, capsys):

@@ -99,6 +99,25 @@ def test_s6_rejects_an_empty_payload(payload):
         run_scenario("S6", "fixed", payload=payload)
 
 
+# a payload of the wrong type, for each scenario that takes one
+MALFORMED_PAYLOADS = {
+    "S4-str": ("S4", "fixed", "ab"),
+    "S4-float-item": ("S4", "buggy", [1.5]),
+    "S4-int": ("S4", "fixed", 5),
+    "S6-int": ("S6", "fixed", 123),
+    "S6-list": ("S6", "fixed", [104, 105]),
+    "S8-str": ("S8", "buggy", "abc"),
+    "S8-float": ("S8", "fixed", 4096.0),
+}
+
+
+@pytest.mark.parametrize("sid, mode, payload", MALFORMED_PAYLOADS.values(),
+                         ids=MALFORMED_PAYLOADS)
+def test_malformed_payload_raises_value_error(sid, mode, payload):
+    with pytest.raises(ValueError, match=f"^{sid} needs"):
+        run_scenario(sid, mode, payload=payload)
+
+
 def test_s6_buggy_undercounts():
     out = run_scenario("S6", "buggy")
     assert out.kind is OutcomeKind.CORRUPT
@@ -204,6 +223,11 @@ def test_scenario_ids_is_a_live_view_of_the_registry():
     with pytest.raises(TypeError):
         SCENARIO_IDS[0]
     assert all(sid == record.sid for sid, record in CATALOGUE.items())
+
+
+def test_dimension_flags_follow_the_buggy_expectation():
+    flags = {sid: (r.seal_sensitive, r.opt_sensitive) for sid, r in CATALOGUE.items()}
+    assert flags == {sid: (sid in ("S7", "S8", "S9"), sid == "S9") for sid in SCENARIO_IDS}
 
 
 OUTCOME_NAMES = {

@@ -1,6 +1,8 @@
 """Static checks on the package source: no unused import, no unreferenced
-private helper.  A helper whose last caller goes must go with it."""
+private helper, no module constant spelled twice.  A helper whose last
+caller goes must go with it; a constant has one module that defines it."""
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,27 @@ def test_every_private_name_is_referenced(path):
     referenced = set().union(*map(_loaded_names, TREES.values()))
     unreferenced = sorted(set(_private_definitions(TREES[path.name])) - referenced)
     assert not unreferenced, f"{path.name} defines but never uses {unreferenced}"
+
+
+def _module_bindings(tree):
+    """(name, dumped expression) of each module-level assignment to a name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, ast.dump(value)
+
+
+def test_no_two_modules_bind_a_name_to_the_same_expression():
+    modules = defaultdict(set)
+    for module, tree in TREES.items():
+        for binding in _module_bindings(tree):
+            modules[binding].add(module)
+    twice = sorted(f"{name} in {sorted(where)}" for (name, _), where in modules.items()
+                   if len(where) > 1)
+    assert not twice, f"define each constant once and import it: {twice}"
