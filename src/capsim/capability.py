@@ -171,7 +171,7 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
         raise ValueError("base/length out of range")
     if base + length > 1 << 64:
         raise ValueError("bounds overflow the address space")
-    return Capability(tag=True, address=base, base=base, top=base + length, perms=perms)
+    return Capability(True, base, base, base + length, perms)
 
 
 def _sealed_modify(mode: SealMode, what: str) -> bool:
@@ -312,4 +312,4 @@ def capint_to_int64(v: CapInt) -> int:
 def int64_to_capint(n: int) -> CapInt:
     """An integer becomes an untagged capability: empty bounds, no perms.
     Any later dereference raises a tag fault."""
-    return Capability(tag=False, address=n & MASK64, base=0, top=0, perms=PERM_NONE)
+    return Capability(False, n & MASK64, 0, 0, PERM_NONE)

@@ -16,6 +16,7 @@ from .scenarios import (
     outcome_matches,
     run_scenario,
 )
+from .vm import check_seed
 
 _SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
 _OPT_CHOICES = {o: [o] for o in OPT_LEVELS} | {"both": list(OPT_LEVELS)}
@@ -31,6 +32,7 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         unknown = [s for s in self.scenarios if s not in CATALOGUE]
         if unknown:
             raise ValueError(f"unknown scenario id(s): {', '.join(unknown)}")

@@ -14,7 +14,10 @@ registry: the harness, the CLI and `expected_outcome` derive everything
 from it. A runner takes `(vm, mode, cfg, payload)`, where `vm` is a
 fresh `MiniVm` per run, and returns `(kind, fault, expected, actual,
 detail)`; `run_scenario` adds the id, the mode and the applicable
-configuration. A payload of the wrong type raises `ValueError`.
+configuration. A payload of the wrong type raises `ValueError`. A
+record whose bug shows only on some payloads also carries a
+`manifests(payload)` predicate, which `expected_outcome` applies to a
+caller's payload without running the scenario.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from typing import Callable, Optional
 
 from .capability import (
     MASK64,
+    VALUE_WIDTH,
     CapFault,
     FaultKind,
     Perm,
@@ -46,6 +50,7 @@ from .vm import (
     STACK_SLOT,
     SymbolEntry,
     MarkBitmap,
+    check_seed,
     count_utf8_lead_bytes,
     insn_hash_capint,
     insn_hash_int,
@@ -70,6 +75,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not isinstance(self.seal_mode, SealMode):
             raise ValueError(f"seal mode must be a SealMode, not {self.seal_mode!r}")
         if self.opt_level not in OPT_LEVELS:
@@ -89,13 +95,20 @@ class ScenarioOutcome:
     detail: str = ""
 
 
+def _every_payload(payload) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
-    its buggy variant must produce in `cfg`: ("ok",), ("fault",
-    FaultKind) or ("corrupt",); the fixed variant is always Ok. A dimension
-    applies (`seal_sensitive`, `opt_sensitive`) when changing it alone
-    changes what `buggy` returns; both are worked out once, on creation."""
+    its buggy variant must produce in `cfg` on the default payload:
+    ("ok",), ("fault", FaultKind) or ("corrupt",); the fixed variant is
+    always Ok. `manifests(payload)` says whether the bug shows on a
+    caller's payload at all; where it does not, the buggy variant is Ok
+    too. A dimension applies (`seal_sensitive`, `opt_sensitive`) when
+    changing it alone changes what `buggy` returns; both are worked out
+    once, on creation."""
     sid: str
     name: str
     title: str
@@ -103,6 +116,7 @@ class Scenario:
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
     run: Callable[..., tuple]
+    manifests: Callable[[object], bool] = _every_payload
     seal_sensitive: bool = field(init=False)
     opt_sensitive: bool = field(init=False)
 
@@ -119,13 +133,14 @@ CATALOGUE: dict[str, Scenario] = {}
 SCENARIO_IDS = CATALOGUE.keys()
 
 
-def scenario(sid, name, title, category, buggy_expectation, *, buggy):
+def scenario(sid, name, title, category, buggy_expectation, *, buggy,
+             manifests=_every_payload):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
         def run(mode, cfg, payload=None):
             return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, payload)
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
-                                  buggy, run)
+                                  buggy, run, manifests)
         return runner
     return register
 
@@ -204,11 +219,11 @@ def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     old_size, new_size = 64, 128
     chunk = vm.alloc.malloc(old_size)
-    first = bytes(vm.rng.randrange(256) for _ in range(old_size))
+    first = vm.rng.randbytes(old_size)
     vm.mem.store_bytes(chunk, chunk.base, first)
 
     grown = vm.alloc.realloc(chunk, new_size)
-    second = bytes(vm.rng.randrange(256) for _ in range(new_size - old_size))
+    second = vm.rng.randbytes(new_size - old_size)
 
     writer = chunk if mode == "buggy" else grown
     try:
@@ -226,17 +241,31 @@ def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 DEFAULT_MARK_SET = {3, 70, 127}
 
 
+def _s4_marks(payload) -> set[int]:
+    items = list(payload) if isinstance(payload, Iterable) else None
+    if items is None or not all(isinstance(i, int) for i in items):
+        raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
+    nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
+    if not all(0 <= i < nbits for i in items):
+        raise ValueError(f"S4 needs marks in [0, {nbits}), not {payload!r}")
+    return set(items)
+
+
+def _s4_manifests(payload) -> bool:
+    """Some mark lands in a padding bit of the buggy model's word."""
+    stride = _WORD_MODEL["buggy"].storage_bits
+    return any(i % stride >= VALUE_WIDTH for i in _s4_marks(payload))
+
+
 @scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
-          "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT)
+          "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT,
+          manifests=_s4_manifests)
 def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     if payload is None:
         marks = set(DEFAULT_MARK_SET)
         marks |= set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
     else:
-        items = list(payload) if isinstance(payload, Iterable) else None
-        if items is None or not all(isinstance(i, int) for i in items):
-            raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
-        marks = set(items)
+        marks = _s4_marks(payload)
     bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, _WORD_MODEL[mode])
     for i in sorted(marks):
         bitmap.set(i)
@@ -273,12 +302,8 @@ def _s5(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 DEFAULT_S6_TEXT = "héllo wörld, naïve café, héllo wörld!"
 
 
-@scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
-          "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT)
-def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    if payload is None:
-        raw = DEFAULT_S6_TEXT.encode()
-    elif isinstance(payload, str):
+def _s6_bytes(payload) -> bytes:
+    if isinstance(payload, str):
         raw = payload.encode()
     elif isinstance(payload, (bytes, bytearray, memoryview)):
         raw = bytes(payload)
@@ -286,6 +311,22 @@ def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
         raise ValueError(f"S6 needs a str or bytes-like payload, not {payload!r}")
     if not raw:
         raise ValueError("S6 needs a non-empty text payload")
+    return raw
+
+
+def _s6_manifests(payload) -> bool:
+    """Some lead byte sits in the padding half of a buggy-model word."""
+    stride = _WORD_MODEL["buggy"].storage_bytes
+    buf = pad_utf8(_s6_bytes(payload), stride)
+    return any(utf8_lead_oracle(buf[off + VALUE_WIDTH // 8:off + stride])
+               for off in range(0, len(buf), stride))
+
+
+@scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
+          "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT,
+          manifests=_s6_manifests)
+def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+    raw = DEFAULT_S6_TEXT.encode() if payload is None else _s6_bytes(payload)
     model = _WORD_MODEL[mode]
     buf = pad_utf8(raw, model.storage_bytes)
     chunk = vm.alloc.malloc(len(buf))
@@ -471,13 +512,17 @@ def run_scenario(sid: str, mode: str,
                            *record.run(mode, cfg, payload))
 
 
-def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig) -> tuple:
-    """The catalogued expectation for one (scenario, mode, config) cell.
+def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
+    """The catalogued expectation for one (scenario, mode, config) cell,
+    run on `payload` (`None` for the scenario's default input).
 
-    Returns ("ok",), ("fault", FaultKind) or ("corrupt",).
+    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The S4 and S6
+    predicates read the payload as their runners do, so a payload of the
+    wrong type for them raises `ValueError` here too.
     """
     record = _lookup(sid, mode)
-    return _OK if mode == "fixed" else record.buggy(cfg)
+    shows = payload is None or record.manifests(payload)
+    return record.buggy(cfg) if mode == "buggy" and shows else _OK
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:

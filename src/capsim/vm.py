@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .allocator import CapAllocator
@@ -49,6 +50,13 @@ CODE_BASE, CODE_SIZE = 0x1000, 0x1000
 STACK_BASE = 0x2000
 STACK_SIZE = STACK_SLOTS * STACK_SLOT
 HEAP_BASE, HEAP_SIZE = 0x4000, 0x8000
+
+
+def check_seed(seed) -> None:
+    """A run is reproducible only from an int seed: anything else,
+    `None` and `bool` included, raises `ValueError`."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, not {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -166,19 +174,34 @@ def insn_hash_capint(n: CapInt, mode: SealMode,
 class MiniVm:
     """One simulator instance: tagged memory, heap allocator, one heap
     page of 32-byte object slots, a downward-growing stack, and a fake
-    code region for sealed return addresses and dispatch routines."""
+    code region for sealed return addresses and dispatch routines.
+
+    Each instance owns only its mutable state: the tagged memory, the
+    allocator and its heap page, the mark bitmap and the advisories.
+    The code, stack and arena roots are class attributes built once; a
+    Capability is an immutable value, so every instance shares them.
+    `rng` is seeded from `seed` on the first draw, so an instance that
+    never draws builds no random generator."""
+
+    code_cap = make_root(CODE_BASE, CODE_SIZE, Perm.LOAD | Perm.EXECUTE)
+    stack_cap = make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.STORE)
+    arena_cap = make_root(HEAP_BASE, HEAP_SIZE, Perm.LOAD | Perm.STORE)
 
     def __init__(self, seal_mode: SealMode = SealMode.FAULT_ON_MODIFY, seed: int = 0):
+        check_seed(seed)
         self.seal_mode = seal_mode
-        self.rng = random.Random(seed)
+        self.seed = seed
         self.advisories: list[str] = []
         self.mem = TaggedMemory(MEM_SIZE)
-        self.code_cap = make_root(CODE_BASE, CODE_SIZE, Perm.LOAD | Perm.EXECUTE)
-        self.stack_cap = make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.STORE)
-        self.arena_cap = make_root(HEAP_BASE, HEAP_SIZE, Perm.LOAD | Perm.STORE)
         self.alloc = CapAllocator(self.mem, self.arena_cap)
         self.heap_page = self.alloc.malloc(HEAP_PAGE_BYTES)
         self.bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, WordModel.EXACT64)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This instance's random stream: `random.Random(seed)`, built on
+        first use."""
+        return random.Random(self.seed)
 
     def binop(self, lhs, rhs, op: str) -> CapInt:
         return capint_binop(lhs, rhs, op, self.seal_mode, self.advisories)

@@ -1,13 +1,16 @@
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capsim.capability import FaultKind, SealMode
 from capsim.harness import RunSpec, _configs_for
 from capsim.vm import MiniVm
 from capsim.scenarios import (
     CATALOGUE,
+    MODES,
     SCENARIO_IDS,
     OutcomeKind,
     ScenarioConfig,
@@ -37,6 +40,38 @@ def test_expected_outcome_rejects_an_unknown_mode():
 def test_config_rejects_an_unknown_dimension_value(field):
     with pytest.raises(ValueError):
         ScenarioConfig(**field)
+
+
+# a seed must be an int: anything else would run unreproducibly (None),
+# pass as another value (True is 1) or fail only in a runner that draws
+NON_INT_SEEDS = [None, True, False, [1], 1.0, "1"]
+
+
+@pytest.mark.parametrize("make", [lambda seed: ScenarioConfig(seed=seed),
+                                  lambda seed: RunSpec(seed=seed),
+                                  lambda seed: MiniVm(seed=seed)],
+                         ids=["ScenarioConfig", "RunSpec", "MiniVm"])
+@pytest.mark.parametrize("seed", NON_INT_SEEDS, ids=repr)
+def test_a_non_int_seed_is_rejected(make, seed):
+    with pytest.raises(ValueError, match="seed must be an int"):
+        make(seed)
+
+
+def test_scenarios_that_never_draw_build_no_random_generator(monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    cfg = ScenarioConfig(seed=3)
+    for sid in ("S2", "S6", "S7", "S8", "S11"):
+        for mode in MODES:
+            run_scenario(sid, mode, cfg)
+    assert built == []
+    run_scenario("S5", "buggy", cfg)
+    assert built == [3]
 
 
 def test_each_run_builds_one_vm_from_its_config(monkeypatch):
@@ -104,6 +139,8 @@ MALFORMED_PAYLOADS = {
     "S4-str": ("S4", "fixed", "ab"),
     "S4-float-item": ("S4", "buggy", [1.5]),
     "S4-int": ("S4", "fixed", 5),
+    "S4-past-the-page": ("S4", "buggy", [200]),
+    "S4-negative": ("S4", "buggy", [-1]),
     "S6-int": ("S6", "fixed", 123),
     "S6-list": ("S6", "fixed", [104, 105]),
     "S8-str": ("S8", "buggy", "abc"),
@@ -207,6 +244,43 @@ def test_conservatism_gap():
     fixed = run_scenario("S2", "fixed")
     assert buggy.kind is OutcomeKind.FAULT
     assert fixed.kind is OutcomeKind.OK and "unmarked" in fixed.detail
+
+
+# S8's bug shows on every int, so its expectation never reads the payload
+READ_BY_EXPECTATION = {k: v for k, v in MALFORMED_PAYLOADS.items() if v[0] != "S8"}
+
+
+@pytest.mark.parametrize("sid, mode, payload", READ_BY_EXPECTATION.values(),
+                         ids=READ_BY_EXPECTATION)
+def test_expected_outcome_reads_payloads_like_the_runner(sid, mode, payload):
+    with pytest.raises(ValueError, match=f"^{sid} needs"):
+        expected_outcome(sid, mode, ScenarioConfig(), payload)
+
+
+PAYLOADS = {
+    "S4": st.one_of(st.sets(st.integers(0, 127)), st.lists(st.integers(0, 127)),
+                    st.frozensets(st.integers(0, 127)).map(tuple)),
+    "S6": st.one_of(st.text(min_size=1), st.binary(min_size=1),
+                    st.binary(min_size=1).map(bytearray)),
+    "S8": st.integers(),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(PAYLOADS)).flatmap(
+           lambda sid: st.tuples(st.just(sid), PAYLOADS[sid])),
+       st.sampled_from(MODES), st.sampled_from(list(SealMode)))
+@example(("S4", {1, 2}), "buggy", SealMode.FAULT_ON_MODIFY)  # Ok: no mark in padding
+@example(("S6", "abc"), "buggy", SealMode.FAULT_ON_MODIFY)  # Ok: no lead byte in padding
+@example(("S4", [63]), "buggy", SealMode.FAULT_ON_MODIFY)
+@example(("S4", [64]), "buggy", SealMode.FAULT_ON_MODIFY)
+@example(("S6", "abcdefgh"), "buggy", SealMode.FAULT_ON_MODIFY)
+@example(("S6", "abcdefghi"), "buggy", SealMode.FAULT_ON_MODIFY)
+def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
+    sid, payload = case
+    cfg = ScenarioConfig(seal_mode=seal)
+    out = run_scenario(sid, mode, cfg, payload)
+    assert outcome_matches(out, expected_outcome(sid, mode, cfg, payload)), out
 
 
 def test_catalogue_complete():

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, no unreferenced
-private helper, no module constant spelled twice.  A helper whose last
-caller goes must go with it; a constant has one module that defines it."""
+private helper, no module constant spelled twice, one random generator
+constructor.  A helper whose last caller goes must go with it; a constant
+has one module that defines it; a VM's randomness comes from `MiniVm.rng`."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -91,3 +92,24 @@ def test_no_two_modules_bind_a_name_to_the_same_expression():
     twice = sorted(f"{name} in {sorted(where)}" for (name, _), where in modules.items()
                    if len(where) > 1)
     assert not twice, f"define each constant once and import it: {twice}"
+
+
+def _random_generator_calls(tree, scope=()):
+    """The enclosing qualified name of each `random.Random(...)` or
+    `Random(...)` call in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Random":
+                yield ".".join(scope)
+        yield from _random_generator_calls(node, inner)
+
+
+def test_each_vm_has_one_source_of_randomness():
+    calls = [f"{module}:{where}" for module, tree in sorted(TREES.items())
+             for where in _random_generator_calls(tree)]
+    assert calls == ["vm.py:MiniVm.rng"]

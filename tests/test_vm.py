@@ -191,6 +191,39 @@ def test_stack_values_yields_each_slot_from_top_to_bottom():
     assert list(vm.stack_values(vm.stack_bottom)) == []
 
 
+def test_vms_built_in_a_row_share_no_mutable_state():
+    """Only the immutable roots are shared: stores, allocations, marks and
+    advisories made in one VM never show in the next."""
+    used, fresh = MiniVm(SealMode.INVALIDATE_ON_MODIFY), MiniVm(SealMode.INVALIDATE_ON_MODIFY)
+    assert (used.code_cap, used.stack_cap, used.arena_cap) \
+        == (fresh.code_cap, fresh.stack_cap, fresh.arena_cap)
+    alloc = fresh.alloc
+    before = (dict(alloc.live), alloc.free_list[:], fresh.bitmap.words[:], fresh.advisories[:])
+
+    top = used.lay_out_stack([("ref", 3), ("int", 0x1234)])
+    chunk = used.alloc.malloc(64)
+    used.mem.store_bytes(chunk, chunk.base, b"\xab" * 64)
+    used.gc_mark(used.object_ref(5), "fixed")
+    insn_hash_capint(used.return_address(0x1000), used.seal_mode, used.advisories)
+    assert used.advisories and used.marked_objects() == {5}
+
+    assert list(fresh.mem.iter_tagged()) == []
+    assert [v.address for v in fresh.stack_values(top)] == [0, 0]
+    assert fresh.mem.load_bytes(fresh.arena_cap, chunk.base, 64) == bytes(64)
+    assert (alloc.live, alloc.free_list, fresh.bitmap.words, fresh.advisories) == before
+    assert alloc.malloc(64) == chunk
+
+
+def test_rng_is_the_seeds_stream_whatever_other_vms_drew():
+    first, second = MiniVm(seed=41), MiniVm(seed=41)
+    first.rng.random()
+    first.rng.shuffle(list(range(10)))
+    reference = random.Random(41)
+    assert second.rng is second.rng
+    assert [second.rng.getrandbits(64) for _ in range(5)] \
+        == [reference.getrandbits(64) for _ in range(5)]
+
+
 def test_return_address_is_sealed_entry():
     vm = MiniVm()
     ret = vm.return_address(0x1234)
