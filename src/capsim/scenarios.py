@@ -15,9 +15,10 @@ from it. A runner takes `(vm, mode, cfg, payload)`, where `vm` is a
 fresh `MiniVm` per run, and returns `(kind, fault, expected, actual,
 detail)`; `run_scenario` adds the id, the mode and the applicable
 configuration. A payload of the wrong type raises `ValueError`. A
-record whose bug shows only on some payloads also carries a
-`manifests(payload)` predicate, which `expected_outcome` applies to a
-caller's payload without running the scenario.
+record whose runner takes a payload also carries a `manifests(payload)`
+predicate, which reads the payload as the runner does and says whether
+the bug shows on it; `expected_outcome` applies it to a caller's payload
+without running the scenario.
 """
 from __future__ import annotations
 
@@ -44,8 +45,10 @@ from .memory import PAGE, PageProtRequest
 from .vm import (
     CODE_BASE,
     HEAP_PAGE_BYTES,
+    MODES,
     MiniVm,
     OBJECT_SLOT,
+    OPT_LEVELS,
     SHAPE_ID_NUM_BITS,
     STACK_SLOT,
     SymbolEntry,
@@ -57,9 +60,6 @@ from .vm import (
     pad_utf8,
     utf8_lead_oracle,
 )
-
-OPT_LEVELS = ("O0", "O1")
-MODES = ("buggy", "fixed")
 
 
 class OutcomeKind(Enum):
@@ -227,8 +227,7 @@ def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
     writer = chunk if mode == "buggy" else grown
     try:
-        vm.mem.store_bytes(set_address(writer, chunk.base + old_size, cfg.seal_mode),
-                           chunk.base + old_size, second)
+        vm.mem.store_bytes(writer, chunk.base + old_size, second)
     except CapFault as f:
         return _fault(f, "write into the grown area via the old capability")
     got = vm.mem.load_bytes(grown, grown.base, new_size)
@@ -378,18 +377,28 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
+def _s8_address(payload) -> int:
+    if not isinstance(payload, int):
+        raise ValueError(f"S8 needs an int address, not {payload!r}")
+    return payload
+
+
+def _s8_manifests(payload) -> bool:
+    """The dispatch capability is sealed whatever its address."""
+    _s8_address(payload)
+    return True
+
+
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
-          buggy=_seal_fault_in_fault_mode)
+          buggy=_seal_fault_in_fault_mode, manifests=_s8_manifests)
 def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    addr = CODE_BASE + 0x40 if payload is None else payload
-    if not isinstance(addr, int):
-        raise ValueError(f"S8 needs an int address, not {payload!r}")
+    addr = CODE_BASE + 0x40 if payload is None else _s8_address(payload)
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
     oracle = insn_hash_int(addr & MASK64)
     if mode == "buggy":
         try:
-            h = insn_hash_capint(dispatch, cfg.seal_mode, vm.advisories)
+            h = insn_hash_capint(dispatch, vm.seal_mode, vm.advisories)
         except CapFault as f:
             return _fault(f, "hash of sealed dispatch capability")
         got = h.address
@@ -428,7 +437,7 @@ def _s10(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
     rec = vm.alloc.malloc(64)
     planted = vm.rng.getrandbits(64)
     vm.mem.store_bytes(rec, rec.base, struct.pack("<Q", planted))
-    w = set_address(rec, rec.base + member_offset, cfg.seal_mode)
+    w = set_address(rec, rec.base + member_offset, vm.seal_mode)
 
     if mode == "buggy":
         # pointer arithmetic on a non-capability integer: the cast back
@@ -516,8 +525,8 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig, payload=None) -> 
     """The catalogued expectation for one (scenario, mode, config) cell,
     run on `payload` (`None` for the scenario's default input).
 
-    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The S4 and S6
-    predicates read the payload as their runners do, so a payload of the
+    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The S4, S6 and
+    S8 predicates read the payload as their runners do, so a payload of the
     wrong type for them raises `ValueError` here too.
     """
     record = _lookup(sid, mode)

@@ -51,12 +51,25 @@ STACK_BASE = 0x2000
 STACK_SIZE = STACK_SLOTS * STACK_SLOT
 HEAP_BASE, HEAP_SIZE = 0x4000, 0x8000
 
+# the variants of each runtime idiom and the compiler levels it is built at
+MODES = ("buggy", "fixed")
+OPT_LEVELS = ("O0", "O1")
+
 
 def check_seed(seed) -> None:
     """A run is reproducible only from an int seed: anything else,
     `None` and `bool` included, raises `ValueError`."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"seed must be an int, not {seed!r}")
+
+
+def _check_variant(variant: str, opt_level: str = "O0") -> None:
+    """A runtime idiom runs as one of `MODES` at one of `OPT_LEVELS`;
+    anything else raises `ValueError`."""
+    if variant not in MODES:
+        raise ValueError(f"variant must be one of {MODES}, not {variant!r}")
+    if opt_level not in OPT_LEVELS:
+        raise ValueError(f"opt level must be one of {OPT_LEVELS}, not {opt_level!r}")
 
 
 @dataclass(frozen=True)
@@ -232,18 +245,18 @@ class MiniVm:
                  ("int", value) pointer-like integer stored as raw bytes;
                  ("ret", code_addr) sealed-entry return address;
                  ("imm", value) immediate (odd low bits) as raw bytes.
-        Returns the stack-top address.
+        Each store names its slot's address and is checked there against
+        the stack capability; only the references and return addresses
+        stored are derived.  Returns the stack-top address.
         """
         top = self.stack_bottom - len(entries) * STACK_SLOT
-        for i, (kind, arg) in enumerate(entries):
-            addr = top + i * STACK_SLOT
-            slot_auth = set_address(self.stack_cap, addr, self.seal_mode)
+        for addr, (kind, arg) in zip(range(top, self.stack_bottom, STACK_SLOT), entries):
             if kind == "ref":
-                self.mem.store_cap(slot_auth, addr, self.object_ref(arg))
+                self.mem.store_cap(self.stack_cap, addr, self.object_ref(arg))
             elif kind == "ret":
-                self.mem.store_cap(slot_auth, addr, self.return_address(arg))
+                self.mem.store_cap(self.stack_cap, addr, self.return_address(arg))
             elif kind in ("int", "imm"):
-                self.mem.store_bytes(slot_auth, addr, struct.pack("<Q", arg & MASK64))
+                self.mem.store_bytes(self.stack_cap, addr, struct.pack("<Q", arg & MASK64))
             else:
                 raise ValueError(f"unknown stack entry kind {kind!r}")
         return top
@@ -251,12 +264,13 @@ class MiniVm:
     def stack_values(self, top: int,
                      through: Capability | None = None) -> Iterator[Capability]:
         """Yield the value in each stack slot from `top` up to the stack
-        bottom, loaded through a scan pointer moved to `top` from `through`,
-        by default the stack capability, whose bounds cover the whole stack."""
+        bottom.  The scan pointer, moved to `top` from `through` (by default
+        the stack capability, whose bounds cover the whole stack), is the one
+        capability derived; each load names its slot's address and is
+        checked there."""
         scan = set_address(self.stack_cap if through is None else through, top, self.seal_mode)
-        while scan.address < self.stack_bottom:
-            yield self.mem.load_cap(scan, scan.address)
-            scan = set_address(scan, scan.address + STACK_SLOT, self.seal_mode)
+        for addr in range(scan.address, self.stack_bottom, STACK_SLOT):
+            yield self.mem.load_cap(scan, addr)
 
     # -- runtime routines ----------------------------------------------
 
@@ -267,8 +281,10 @@ class MiniVm:
         arithmetic, creating a temporary capability; on a sealed input
         this follows the seal-semantics mode.  At O1 (and in the fixed
         variant) the address is extracted first and no temporary
-        capability exists.
+        capability exists.  An unknown variant or opt level raises
+        `ValueError`.
         """
+        _check_variant(variant, opt_level)
         if variant == "buggy" and opt_level == "O0":
             tmp = self.binop(v, IMMEDIATE_MASK, "and")
             return tmp.address != 0
@@ -286,8 +302,10 @@ class MiniVm:
         anything that looks like an object start; a pointer-like integer
         then raises a tag fault.  The fixed variant requires the validity
         tag (and an unsealed value) before dereferencing, which also skips
-        dead objects reachable only through integers.
+        dead objects reachable only through integers.  An unknown variant
+        raises `ValueError`.
         """
+        _check_variant(variant)
         if self.vm_immediate_p(v, "fixed"):
             return False
         if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):

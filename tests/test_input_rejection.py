@@ -3,7 +3,7 @@ import pytest
 
 from capsim.allocator import AllocError, CapAllocator
 from capsim.capability import (
-    CapFault, FaultKind, Perm, WordModel, capint_binop, make_root,
+    CapFault, FaultKind, Perm, WordModel, capint_binop, int64_to_capint, make_root,
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
@@ -31,6 +31,12 @@ REJECTIONS = {
         PageProtRequest(0, 2 * PAGE, Perm.LOAD))),
     "utf8-partial-word": (ValueError, lambda: count_utf8_lead_bytes(b"abc", WordModel.EXACT64)),
     "stack-entry-kind": (ValueError, lambda: MiniVm().lay_out_stack([("bogus", 0)])),
+    "gc-mark-variant": (ValueError, lambda: MiniVm().gc_mark(
+        int64_to_capint(MiniVm().object_addr(1)), "Fixed")),
+    "immediate-variant": (ValueError, lambda: MiniVm().vm_immediate_p(
+        MiniVm().return_address(0x1100), "bugy", "O0")),
+    "immediate-opt-level": (ValueError, lambda: MiniVm().vm_immediate_p(
+        MiniVm().return_address(0x1100), "buggy", "O2")),
 }
 
 

@@ -246,12 +246,8 @@ def test_conservatism_gap():
     assert fixed.kind is OutcomeKind.OK and "unmarked" in fixed.detail
 
 
-# S8's bug shows on every int, so its expectation never reads the payload
-READ_BY_EXPECTATION = {k: v for k, v in MALFORMED_PAYLOADS.items() if v[0] != "S8"}
-
-
-@pytest.mark.parametrize("sid, mode, payload", READ_BY_EXPECTATION.values(),
-                         ids=READ_BY_EXPECTATION)
+@pytest.mark.parametrize("sid, mode, payload", MALFORMED_PAYLOADS.values(),
+                         ids=MALFORMED_PAYLOADS)
 def test_expected_outcome_reads_payloads_like_the_runner(sid, mode, payload):
     with pytest.raises(ValueError, match=f"^{sid} needs"):
         expected_outcome(sid, mode, ScenarioConfig(), payload)

@@ -7,13 +7,22 @@ from hypothesis import given, settings, strategies as st
 from capsim.capability import (
     CapFault,
     FaultKind,
+    Perm,
     SealMode,
     WordModel,
     capint_to_int64,
     int64_to_capint,
+    make_root,
+    restrict_perms,
+    seal_entry,
+    set_address,
+    set_bounds,
 )
 from capsim.vm import (
     IMMEDIATE_MASK,
+    STACK_BASE,
+    STACK_SIZE,
+    STACK_SLOT,
     MarkBitmap,
     MiniVm,
     count_utf8_lead_bytes,
@@ -189,6 +198,62 @@ def test_stack_values_yields_each_slot_from_top_to_bottom():
     assert not num.tag and num.address == 0x1234
     assert ret == vm.return_address(0x1180)
     assert list(vm.stack_values(vm.stack_bottom)) == []
+
+
+def _moving_scan(vm, top, through):
+    """Reference stack scan: a pointer moved one slot at a time with
+    `set_address`, each load at the pointer's own address."""
+    scan = set_address(vm.stack_cap if through is None else through, top, vm.seal_mode)
+    while scan.address < vm.stack_bottom:
+        yield vm.mem.load_cap(scan, scan.address)
+        scan = set_address(scan, scan.address + STACK_SLOT, vm.seal_mode)
+
+
+def _drain(values):
+    """(values yielded, (fault kind, message) or None) of one scan."""
+    got = []
+    try:
+        for v in values:
+            got.append(v)
+    except CapFault as f:
+        return got, (f.kind, str(f))
+    return got, None
+
+
+STACK_BOTTOM = STACK_BASE + STACK_SIZE
+ENTRY = st.one_of(st.tuples(st.just("ref"), st.integers(0, 127)),
+                  st.tuples(st.sampled_from(["int", "imm"]), st.integers(0, (1 << 64) - 1)),
+                  st.tuples(st.just("ret"), st.integers(0x1000, 0x1FF0)))
+THROUGH = {
+    "default": st.none(),
+    "narrowed": st.builds(lambda base, length: set_bounds(MiniVm.stack_cap, base, length),
+                          st.integers(STACK_BASE - 32, STACK_BOTTOM), st.integers(0, 256)),
+    "restricted": st.sampled_from([Perm(0), Perm.LOAD, Perm.STORE, Perm.EXECUTE,
+                                   Perm.LOAD | Perm.EXECUTE]).map(
+                      lambda perms: restrict_perms(MiniVm.stack_cap, perms)),
+    "sealed": st.just(seal_entry(make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.EXECUTE))),
+    "untagged": st.just(MiniVm.stack_cap.untagged()),
+}
+TOP = {
+    "aligned": st.integers(0, STACK_SIZE // STACK_SLOT).map(lambda i: STACK_BASE + i * STACK_SLOT),
+    "unaligned": st.integers(STACK_BASE, STACK_BOTTOM).filter(lambda a: a % STACK_SLOT),
+    "at-or-above-bottom": st.integers(STACK_BOTTOM, STACK_BOTTOM + 256),
+    "below-stack": st.integers(STACK_BASE - 256, STACK_BASE - 1),
+    "negative": st.integers(-(1 << 64), -1),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(SealMode)), st.lists(ENTRY, max_size=8),
+       st.sampled_from(sorted(THROUGH)).flatmap(THROUGH.get),
+       st.sampled_from(sorted(TOP)).flatmap(TOP.get))
+def test_stack_values_matches_a_scan_that_moves_its_pointer(seal, entries, through, top):
+    """Checking each load at its slot's address yields the same values and
+    raises the same fault, kind and message, as moving the scan pointer to
+    each slot first."""
+    vm = MiniVm(seal)
+    vm.lay_out_stack(entries)
+    assert _drain(vm.stack_values(top, through)) == _drain(_moving_scan(vm, top, through))
 
 
 def test_vms_built_in_a_row_share_no_mutable_state():
