@@ -18,7 +18,8 @@ between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
 An access that passes its capability check but reaches past the end of
-memory faults as unmapped.
+memory faults as unmapped.  An access checks its pages first to last and
+stops at the first that denies it, whose index the fault names.
 """
 from __future__ import annotations
 
@@ -65,18 +66,18 @@ class TaggedMemory:
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
         check_access(authority, kind, size, addr)
-        if addr + size > self.size:
-            raise CapFault(
-                FaultKind.PERMISSION,
-                f"[{addr:#x},{addr + size:#x}) unmapped",
-            )
+        end = addr + size
+        if end > self.size:
+            raise CapFault(FaultKind.PERMISSION, f"[{addr:#x},{end:#x}) unmapped")
+        perms = self.page_perms
         want = kind._value_
-        for page in range(addr // PAGE, (addr + size - 1) // PAGE + 1):
-            if self.page_perms[page] & want != want:
-                raise CapFault(
-                    FaultKind.PERMISSION,
-                    f"page {page:#x} denies {kind.name}",
-                )
+        page = addr // PAGE
+        last = (end - 1) // PAGE
+        while perms[page] & want == want:
+            if page == last:
+                return
+            page += 1
+        raise CapFault(FaultKind.PERMISSION, f"page {page:#x} denies {kind.name}")
 
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if addr % GRANULE != 0:
@@ -103,7 +104,11 @@ class TaggedMemory:
         self._check(authority, addr, _STORE, len(payload))
         self.data[addr:addr + len(payload)] = payload
         pop = self.granule_caps.pop
-        for g in range(addr // GRANULE, (addr + len(payload) - 1) // GRANULE + 1):
+        g = addr // GRANULE
+        last = (addr + len(payload) - 1) // GRANULE
+        pop(g, None)
+        while g < last:
+            g += 1
             pop(g, None)
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:

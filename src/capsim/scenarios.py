@@ -18,7 +18,8 @@ configuration. A payload of the wrong type raises `ValueError`. A
 record whose runner takes a payload also carries a `manifests(payload)`
 predicate, which reads the payload as the runner does and says whether
 the bug shows on it; `expected_outcome` applies it to a caller's payload
-without running the scenario.
+without running the scenario. A record without one takes no payload:
+`run_scenario` and `expected_outcome` raise `ValueError` when given one.
 """
 from __future__ import annotations
 
@@ -95,10 +96,6 @@ class ScenarioOutcome:
     detail: str = ""
 
 
-def _every_payload(payload) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
@@ -106,9 +103,9 @@ class Scenario:
     ("ok",), ("fault", FaultKind) or ("corrupt",); the fixed variant is
     always Ok. `manifests(payload)` says whether the bug shows on a
     caller's payload at all; where it does not, the buggy variant is Ok
-    too. A dimension applies (`seal_sensitive`, `opt_sensitive`) when
-    changing it alone changes what `buggy` returns; both are worked out
-    once, on creation."""
+    too; a record without `manifests` takes no payload. A dimension
+    applies (`seal_sensitive`, `opt_sensitive`) when changing it alone
+    changes what `buggy` returns; both are worked out once, on creation."""
     sid: str
     name: str
     title: str
@@ -116,7 +113,7 @@ class Scenario:
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
     run: Callable[..., tuple]
-    manifests: Callable[[object], bool] = _every_payload
+    manifests: Optional[Callable[[object], bool]] = None
     seal_sensitive: bool = field(init=False)
     opt_sensitive: bool = field(init=False)
 
@@ -134,7 +131,7 @@ SCENARIO_IDS = CATALOGUE.keys()
 
 
 def scenario(sid, name, title, category, buggy_expectation, *, buggy,
-             manifests=_every_payload):
+             manifests=None):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
         def run(mode, cfg, payload=None):
@@ -151,6 +148,11 @@ _BOUNDS = ("fault", FaultKind.BOUNDS)
 _TAG = ("fault", FaultKind.TAG)
 _SEAL = ("fault", FaultKind.SEAL)
 _WORD_MODEL = {"buggy": WordModel.PADDED_CAP, "fixed": WordModel.EXACT64}
+
+
+def _is_int(value) -> bool:
+    """An int payload item; `bool` is an `int` subclass but means no number."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _seal_fault_in_fault_mode(cfg: ScenarioConfig) -> tuple:
@@ -242,7 +244,7 @@ DEFAULT_MARK_SET = {3, 70, 127}
 
 def _s4_marks(payload) -> set[int]:
     items = list(payload) if isinstance(payload, Iterable) else None
-    if items is None or not all(isinstance(i, int) for i in items):
+    if items is None or not all(_is_int(i) for i in items):
         raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
     nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
     if not all(0 <= i < nbits for i in items):
@@ -378,7 +380,7 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
 def _s8_address(payload) -> int:
-    if not isinstance(payload, int):
+    if not _is_int(payload):
         raise ValueError(f"S8 needs an int address, not {payload!r}")
     return payload
 
@@ -501,19 +503,22 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def _lookup(sid: str, mode: str) -> Scenario:
+def _lookup(sid: str, mode: str, payload) -> Scenario:
     if sid not in CATALOGUE:
         raise ValueError(f"unknown scenario id {sid!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    return CATALOGUE[sid]
+    record = CATALOGUE[sid]
+    if payload is not None and record.manifests is None:
+        raise ValueError(f"{sid} needs no payload, not {payload!r}")
+    return record
 
 
 def run_scenario(sid: str, mode: str,
                  config: ScenarioConfig | None = None,
                  payload=None) -> ScenarioOutcome:
     """Run one scenario variant on a fresh simulator instance."""
-    record = _lookup(sid, mode)
+    record = _lookup(sid, mode, payload)
     cfg = config or ScenarioConfig()
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode.value if record.seal_sensitive else None,
@@ -527,9 +532,10 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig, payload=None) -> 
 
     Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The S4, S6 and
     S8 predicates read the payload as their runners do, so a payload of the
-    wrong type for them raises `ValueError` here too.
+    wrong type for them raises `ValueError` here too, as does any payload
+    for a scenario that takes none.
     """
-    record = _lookup(sid, mode)
+    record = _lookup(sid, mode, payload)
     shows = payload is None or record.manifests(payload)
     return record.buggy(cfg) if mode == "buggy" and shows else _OK
 

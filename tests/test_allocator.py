@@ -547,6 +547,24 @@ def test_in_place_resize_leaves_no_empty_block(setup, grow):
     assert alloc.free_list == [block for block in before if block[0] != a.top]
 
 
+@pytest.mark.parametrize("at_end", [False, True], ids=["first-object", "last-object"])
+def test_realloc_in_a_full_arena(setup, at_end):
+    """With the free list empty, growing raises OutOfMemory and leaves the
+    heap as it was, and shrinking frees the tail."""
+    _, alloc = setup
+    a = alloc.malloc(64)
+    b = alloc.malloc(ARENA_SIZE - 64)
+    obj = b if at_end else a
+    assert alloc.free_list == []
+    live, quarantine = dict(alloc.live), list(alloc.quarantine)
+    with pytest.raises(OutOfMemory):
+        alloc.realloc(obj, obj.length + 16)
+    assert (alloc.free_list, alloc.live, alloc.quarantine) == ([], live, quarantine)
+    shrunk = alloc.realloc(obj, 16)
+    assert (shrunk.base, shrunk.length) == (obj.base, 16)
+    assert alloc.free_list == [(obj.base + 16, obj.length - 16)]
+
+
 def _painted_runs(regions):
     """Maximal runs of the integer points that some region covers."""
     points = {p for base, length in regions for p in range(base, base + length)}

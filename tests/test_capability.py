@@ -60,6 +60,10 @@ class TestMakeRoot:
             check_access(c, LD, 1)
         assert exc.value.kind is FaultKind.BOUNDS
 
+    def test_last_byte_of_the_address_space(self):
+        c = make_root(MASK64, 1, LD)
+        assert c.tag and (c.base, c.top) == (MASK64, 1 << 64)
+
     def test_overflow_is_construction_error(self):
         with pytest.raises(ValueError):
             make_root(MASK64, 2, LD)

@@ -106,6 +106,54 @@ def test_access_past_end_of_memory_faults_unmapped(access):
     assert "unmapped" in exc.value.detail
 
 
+# -- the pages and granules one access touches ------------------------------
+
+BYTE_ACCESSES = {
+    "load_bytes": (LD, lambda m, a, addr, n: m.load_bytes(a, addr, n)),
+    "store_bytes": (ST, lambda m, a, addr, n: m.store_bytes(a, addr, b"\xaa" * n)),
+}
+
+
+@pytest.mark.parametrize("denied", [1, 2], ids=["middle-page", "last-page"])
+@pytest.mark.parametrize("name", BYTE_ACCESSES)
+def test_three_page_access_faults_at_the_page_that_denies_it(mem, auth, name, denied):
+    kind, access = BYTE_ACCESSES[name]
+    mem.mprotect(PageProtRequest(denied * PAGE, PAGE, PERM_ALL & ~kind))
+    before = bytes(mem.data)
+    with pytest.raises(CapFault) as exc:
+        access(mem, auth, PAGE - 8, PAGE + 16)  # pages 0, 1 and 2
+    assert exc.value.kind is FaultKind.PERMISSION
+    assert exc.value.detail == f"page {denied:#x} denies {kind.name}"
+    assert bytes(mem.data) == before
+
+
+@pytest.mark.parametrize("name", BYTE_ACCESSES)
+def test_access_ending_on_a_page_boundary_leaves_the_next_page_alone(name):
+    kind, access = BYTE_ACCESSES[name]
+    mem = TaggedMemory(3 * PAGE)
+    auth = make_root(0, 3 * PAGE, LD | ST)
+    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, PERM_ALL & ~kind))
+    access(mem, auth, PAGE - 8, PAGE + 8)  # ends where denied page 2 begins
+    access(mem, auth, 2 * PAGE - GRANULE, GRANULE)
+    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, LD | ST))
+    access(mem, auth, PAGE, 2 * PAGE)  # ends at the end of memory
+
+
+NEIGHBOURS = range(PAGE - 2 * GRANULE, PAGE + 7 * GRANULE, GRANULE)
+
+
+@pytest.mark.parametrize("addr, n, covered", [
+    (PAGE + 0x15, 1, [PAGE + 0x10]),
+    (PAGE + 0x18, 8, [PAGE + 0x10]),  # ends on the boundary with PAGE + 0x20
+    (PAGE + 0x1c, 36, [PAGE + 0x10, PAGE + 0x20, PAGE + 0x30]),
+], ids=["one-byte", "ends-on-a-granule-boundary", "three-granules"])
+def test_store_bytes_clears_exactly_the_granules_it_covers(mem, auth, addr, n, covered):
+    for a in NEIGHBOURS:
+        mem.store_cap(auth, a, make_root(a, GRANULE, LD))
+    mem.store_bytes(auth, addr, b"\xaa" * n)
+    assert [a for a, _ in mem.iter_tagged()] == [a for a in NEIGHBOURS if a not in covered]
+
+
 class TestMprotect:
     def test_strip_without_prot_cap(self, mem, auth):
         mem.store_cap(auth, PAGE, make_root(0x100, 0x40, LD))

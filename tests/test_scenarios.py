@@ -134,10 +134,14 @@ def test_s6_rejects_an_empty_payload(payload):
         run_scenario("S6", "fixed", payload=payload)
 
 
-# a payload of the wrong type, for each scenario that takes one
+# a payload of the wrong type, for each scenario that takes one, and any
+# payload for a scenario that takes none
 MALFORMED_PAYLOADS = {
+    "S1-list": ("S1", "buggy", [1, 2]),
+    "S9-str": ("S9", "fixed", "x"),
     "S4-str": ("S4", "fixed", "ab"),
     "S4-float-item": ("S4", "buggy", [1.5]),
+    "S4-bool-item": ("S4", "buggy", [True]),
     "S4-int": ("S4", "fixed", 5),
     "S4-past-the-page": ("S4", "buggy", [200]),
     "S4-negative": ("S4", "buggy", [-1]),
@@ -145,6 +149,7 @@ MALFORMED_PAYLOADS = {
     "S6-list": ("S6", "fixed", [104, 105]),
     "S8-str": ("S8", "buggy", "abc"),
     "S8-float": ("S8", "fixed", 4096.0),
+    "S8-bool": ("S8", "buggy", True),
 }
 
 
