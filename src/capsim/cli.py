@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
 
 from .harness import (_MODE_CHOICES, _OPT_CHOICES, _SEAL_CHOICES, RunSpec,
-                      format_text, run_matrix)
+                      format_json, format_text, run_matrix)
 from .scenarios import CATALOGUE
 
 EXIT_OK = 0
@@ -69,8 +68,7 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
 
     report = run_matrix(spec)
-    rendered = json.dumps(report, indent=2) if args.format == "json" \
-        else format_text(report)
+    rendered = format_json(report) if args.format == "json" else format_text(report)
     if args.out:
         try:
             _write_report(args.out, rendered + "\n")

@@ -2,7 +2,9 @@
 outcome to the catalogued expectation, and assemble a report."""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .capability import SealMode
@@ -117,3 +119,50 @@ def format_text(report: dict) -> str:
     lines.append(f"{s['passed']}/{s['total']} cells passed, {s['failed']} failed "
                  f"(seed {report['seed']}, simulator {report['version']})")
     return "\n".join(lines)
+
+
+def format_json(report: dict) -> str:
+    """Render `report` as `json.dumps(report, indent=2)` does, byte for byte.
+
+    CPython's C encoder runs only when `indent` is None, so the indented
+    dump goes through the pure-Python `_iterencode`; this renderer writes
+    the same bytes in about half the time. Dicts, lists and tuples
+    (rendered as lists) are walked recursively; strings go through the
+    encoder's own `encode_basestring_ascii`, ints through `int.__repr__`,
+    and True, False and None are literals. Any other leaf (a float, say)
+    is rendered by `json.dumps(leaf)`, which raises `TypeError` for what
+    JSON cannot hold. A dict key that is not a `str` raises `TypeError` in
+    `encode_basestring_ascii`, where `json.dumps` would have converted an
+    int, float, bool or None key. So the result is exactly the reference
+    dump, or an exception.
+    """
+    return _json_value(report, "\n")
+
+
+def _json_value(value, newline: str) -> str:
+    """`value` rendered where `newline` (a line break and the current
+    indent) starts each line; its items start at one more level."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_value(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_str(key) + ": " + _json_value(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
