@@ -65,7 +65,7 @@ class CapFault(Exception):
     """A failed memory access or illegal capability manipulation."""
 
     def __init__(self, kind: FaultKind, detail: str = ""):
-        super().__init__(f"{kind.value} fault: {detail}" if detail else f"{kind.value} fault")
+        super().__init__(f"{kind._value_} fault: {detail}" if detail else f"{kind._value_} fault")
         self.kind = kind
         self.detail = detail
 
@@ -76,18 +76,19 @@ class WordModel(enum.Enum):
     PADDED_CAP: 16 bytes of storage but only 64 value bits (the buggy
     assumption is that all 128 storage bits are usable).
     EXACT64: 8 bytes of storage, 64 value bits, no padding.
+
+    A member's value is its storage size in bytes. `storage_bytes` and
+    `storage_bits` are set on each member once, so the per-bit paths read
+    a plain attribute instead of going through the enum's `value`
+    descriptor.
     """
 
     PADDED_CAP = 16
     EXACT64 = 8
 
-    @property
-    def storage_bytes(self) -> int:
-        return self.value
-
-    @property
-    def storage_bits(self) -> int:
-        return self.value * 8
+    def __init__(self, storage_bytes: int) -> None:
+        self.storage_bytes = storage_bytes
+        self.storage_bits = storage_bytes * 8
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -268,10 +269,6 @@ _BINOPS = {
 }
 
 
-def _operand_value(v) -> int:
-    return v.address if isinstance(v, Capability) else int(v) & MASK64
-
-
 def capint_binop(lhs, rhs, op: str,
                  mode: SealMode = SealMode.FAULT_ON_MODIFY,
                  advisories: list | None = None) -> CapInt:
@@ -295,7 +292,9 @@ def capint_binop(lhs, rhs, op: str,
 
     if op not in _BINOPS:
         raise ValueError(f"unknown operation {op!r}")
-    value = _BINOPS[op](_operand_value(lhs), _operand_value(rhs)) & MASK64
+    a = lhs.address if lcap else int(lhs) & MASK64
+    b = rhs.address if rcap else int(rhs) & MASK64
+    value = _BINOPS[op](a, b) & MASK64
 
     tag = source.tag
     if tag and source.seal is not _UNSEALED:

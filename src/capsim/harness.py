@@ -62,14 +62,20 @@ def _configs_for(record: Scenario, spec: RunSpec):
 def run_matrix(spec: RunSpec) -> dict:
     """Run the full cross-product and return the report as plain data
     (JSON-serializable dicts). Each selected scenario runs once, in
-    registry order, however often and in whatever order it was named."""
+    registry order, however often and in whatever order it was named.
+    The configs depend only on which dimensions apply, and a
+    `ScenarioConfig` is frozen, so records alike in that share them."""
     records = []
+    configs = {}  # (seal_sensitive, opt_sensitive) -> the configs to run
     chosen = set(spec.scenarios)
     for sid, record in CATALOGUE.items():
         if sid not in chosen:
             continue
+        dims = record.seal_sensitive, record.opt_sensitive
+        if dims not in configs:
+            configs[dims] = list(_configs_for(record, spec))
         for mode in _MODE_CHOICES[spec.mode]:
-            for cfg in _configs_for(record, spec):
+            for cfg in configs[dims]:
                 outcome = run_scenario(sid, mode, cfg)
                 expectation = expected_outcome(sid, mode, cfg)
                 records.append({
@@ -77,9 +83,9 @@ def run_matrix(spec: RunSpec) -> dict:
                     "mode": mode,
                     "seal_mode": outcome.seal_mode,
                     "opt_level": outcome.opt_level,
-                    "outcome": {
-                        "kind": outcome.kind.value,
-                        "fault": outcome.fault.value if outcome.fault else None,
+                    "outcome": {  # `_value_` skips the enum's `value` descriptor
+                        "kind": outcome.kind._value_,
+                        "fault": outcome.fault._value_ if outcome.fault else None,
                         "expected": outcome.expected,
                         "actual": outcome.actual,
                         "detail": outcome.detail,

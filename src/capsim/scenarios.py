@@ -521,7 +521,7 @@ def run_scenario(sid: str, mode: str,
     record = _lookup(sid, mode, payload)
     cfg = config or ScenarioConfig()
     return ScenarioOutcome(sid, mode,
-                           cfg.seal_mode.value if record.seal_sensitive else None,
+                           cfg.seal_mode._value_ if record.seal_sensitive else None,
                            cfg.opt_level if record.opt_sensitive else None,
                            *record.run(mode, cfg, payload))
 

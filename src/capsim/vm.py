@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 from .allocator import CapAllocator
@@ -57,10 +56,14 @@ OPT_LEVELS = ("O0", "O1")
 
 
 def check_seed(seed) -> None:
-    """A run is reproducible only from an int seed: anything else,
-    `None` and `bool` included, raises `ValueError`."""
+    """A run is reproducible only from a non-negative int seed: anything
+    else, `None` and `bool` included, raises `ValueError`. A negative seed
+    is rejected because `random.Random(-n)` draws the stream of `n`, so a
+    run would report one seed and draw another's data."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"seed must be an int, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed!r}")
 
 
 def _check_variant(variant: str, opt_level: str = "O0") -> None:
@@ -210,11 +213,15 @@ class MiniVm:
         self.heap_page = self.alloc.malloc(HEAP_PAGE_BYTES)
         self.bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, WordModel.EXACT64)
 
-    @cached_property
+    _rng = None
+
+    @property
     def rng(self) -> random.Random:
         """This instance's random stream: `random.Random(seed)`, built on
         first use."""
-        return random.Random(self.seed)
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng
 
     def binop(self, lhs, rhs, op: str) -> CapInt:
         return capint_binop(lhs, rhs, op, self.seal_mode, self.advisories)

@@ -22,6 +22,7 @@ from capsim.capability import (
     PERM_NONE,
     SealMode,
     SealState,
+    WordModel,
     capint_binop,
     capint_to_int64,
     check_access,
@@ -237,6 +238,15 @@ class TestCapIntOps:
     def test_shift_below_width(self):
         out = capint_binop(int64_to_capint(1), 63, "shl")
         assert out.address == 1 << 63
+
+    @pytest.mark.parametrize("amount, expected", [(63, MASK64), (64, 0)])
+    def test_shr_cut_off_on_a_negative_address(self, amount, expected):
+        # set_bounds keeps a negative requested base as the address, and a
+        # right shift of it stays -1 until the cut-off at VALUE_WIDTH makes
+        # it 0. The shl twin has no such case: -16 << 64 masks to 0 anyway.
+        negative = set_bounds(make_root(0, 64, LD), -16, 8)
+        assert negative.address == -16
+        assert capint_binop(negative, amount, "shr").address == expected
 
     def test_no_capability_operand_rejected(self):
         with pytest.raises(TypeError):
@@ -514,6 +524,14 @@ def test_capint_binop_matches_replace_reference(c, other, cap_on_left, op, mode)
     same_result(outcome(capint_binop, lhs, rhs, op, mode, got_adv),
                 outcome(ref_capint_binop, lhs, rhs, op, mode, want_adv))
     assert got_adv == want_adv
+
+
+def test_word_model_members_carry_their_storage_size():
+    assert (WordModel.PADDED_CAP.storage_bytes, WordModel.PADDED_CAP.storage_bits) == (16, 128)
+    assert (WordModel.EXACT64.storage_bytes, WordModel.EXACT64.storage_bits) == (8, 64)
+    assert (WordModel.PADDED_CAP.value, WordModel.EXACT64.value) == (16, 8)
+    assert WordModel(16) is WordModel.PADDED_CAP
+    assert WordModel(8) is WordModel.EXACT64
 
 
 # -- encode: the 16-byte memory pattern ----------------------------------

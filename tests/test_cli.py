@@ -62,6 +62,14 @@ def test_bad_flag_usage_error():
     assert main(["run", "all", "--mode", "bogus"]) == EXIT_USAGE
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # seed -7 would draw seed 7's stream while the report said -7
+    assert main(["run", "all", "--seed", "-7"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be non-negative, not -7\n"
+
+
 def test_json_round_trips():
     report = run_matrix(RunSpec(scenarios=("S1", "S7"), seed=5))
     assert json.loads(json.dumps(report)) == report

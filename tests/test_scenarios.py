@@ -45,15 +45,27 @@ def test_config_rejects_an_unknown_dimension_value(field):
 # a seed must be an int: anything else would run unreproducibly (None),
 # pass as another value (True is 1) or fail only in a runner that draws
 NON_INT_SEEDS = [None, True, False, [1], 1.0, "1"]
+# random.Random(-n) draws the stream of n, so a negative seed would run
+# another seed's data under its own name
+NEGATIVE_SEEDS = [-1, -7, -(1 << 64)]
+EVERY_SEED_TAKER = pytest.mark.parametrize(
+    "make", [lambda seed: ScenarioConfig(seed=seed),
+             lambda seed: RunSpec(seed=seed),
+             lambda seed: MiniVm(seed=seed)],
+    ids=["ScenarioConfig", "RunSpec", "MiniVm"])
 
 
-@pytest.mark.parametrize("make", [lambda seed: ScenarioConfig(seed=seed),
-                                  lambda seed: RunSpec(seed=seed),
-                                  lambda seed: MiniVm(seed=seed)],
-                         ids=["ScenarioConfig", "RunSpec", "MiniVm"])
+@EVERY_SEED_TAKER
 @pytest.mark.parametrize("seed", NON_INT_SEEDS, ids=repr)
 def test_a_non_int_seed_is_rejected(make, seed):
     with pytest.raises(ValueError, match="seed must be an int"):
+        make(seed)
+
+
+@EVERY_SEED_TAKER
+@pytest.mark.parametrize("seed", NEGATIVE_SEEDS, ids=repr)
+def test_a_negative_seed_is_rejected(make, seed):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
         make(seed)
 
 
