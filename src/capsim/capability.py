@@ -39,7 +39,8 @@ class SealState(enum.Enum):
 # as a class attribute costs several times a module-global read.
 _UNSEALED = SealState.UNSEALED
 _SEALED_ENTRY = SealState.SEALED_ENTRY
-_PACK_WORDS = struct.Struct("<QQ").pack
+_WORDS = struct.Struct("<QQ")
+_PACK_WORDS, _PACK_WORDS_INTO = _WORDS.pack, _WORDS.pack_into
 
 
 class SealMode(enum.Enum):
@@ -117,8 +118,11 @@ class Capability:
     def untagged(self, **changes) -> "Capability":
         return replace(self, tag=False, **changes)
 
-    def encode(self) -> bytes:
+    def encode(self, buffer=None, offset: int = 0) -> bytes | None:
         """The 16-byte in-memory pattern: low 8 = address, high 8 = metadata.
+
+        Without `buffer` the pattern is returned as `bytes`; with one it is
+        packed into `buffer` at `offset` in place and None is returned.
 
         The metadata word is `hash()` of a tuple of ints: base and top
         split into 32-bit halves, the permission bits and the seal bit.
@@ -131,7 +135,10 @@ class Capability:
         base, top = self.base, self.top
         meta = hash((base & MASK32, base >> 32, top & MASK32, top >> 32,
                      self.perms._value_, self.seal is _SEALED_ENTRY))
-        return _PACK_WORDS(self.address & MASK64, meta & MASK64)
+        if buffer is None:
+            return _PACK_WORDS(self.address & MASK64, meta & MASK64)
+        _PACK_WORDS_INTO(buffer, offset, self.address & MASK64, meta & MASK64)
+        return None
 
 
 def _slot_init():
@@ -278,7 +285,8 @@ def capint_binop(lhs, rhs, op: str,
     operand's metadata (the left one when both are capabilities, which
     also records an "ambiguous-provenance" advisory).  Producing the
     result modifies the address of the inherited capability, so a sealed
-    source follows the seal-semantics mode.
+    source follows the seal-semantics mode.  A non-capability operand
+    must be an int (not a bool); anything else raises `ValueError`.
 
     Shifts by 64 or more yield the deterministic sentinel value 0.
     """
@@ -292,6 +300,10 @@ def capint_binop(lhs, rhs, op: str,
 
     if op not in _BINOPS:
         raise ValueError(f"unknown operation {op!r}")
+    if not (lcap and rcap):
+        other = rhs if lcap else lhs
+        if isinstance(other, bool) or not isinstance(other, int):
+            raise ValueError(f"a non-capability operand must be an int, not {other!r}")
     a = lhs.address if lcap else int(lhs) & MASK64
     b = rhs.address if rcap else int(rhs) & MASK64
     value = _BINOPS[op](a, b) & MASK64

@@ -84,7 +84,7 @@ class TaggedMemory:
             raise CapFault(FaultKind.ALIGNMENT, f"capability store at {addr:#x}")
         self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
-        self.data[addr:addr + GRANULE] = value.encode()
+        value.encode(self.data, addr)
         if value.tag:
             self.granule_caps[g] = value
         else:

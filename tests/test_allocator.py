@@ -583,3 +583,13 @@ def _painted_runs(regions):
 @example([(30, 10), (0, 30), (45, 0)])  # touching, unsorted, empty
 def test_coalesce_matches_painted_points(regions):
     assert _coalesce(regions) == _painted_runs(regions)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 8).map(lambda k: 16 * k), st.integers(-8, 48)),
+                max_size=12).flatmap(lambda rs: st.tuples(st.just(rs), st.permutations(rs))))
+@example(([(16, 32), (16, 8)], [(16, 8), (16, 32)]))  # a shared base, both orders
+@example(([(0, 16), (16, 0), (16, 24)], [(16, 24), (16, 0), (0, 16)]))
+def test_coalesce_ignores_input_order(regions_and_permutation):
+    regions, permuted = regions_and_permutation
+    assert _coalesce(permuted) == _coalesce(regions)

@@ -252,6 +252,14 @@ class TestCapIntOps:
         with pytest.raises(TypeError):
             capint_binop(1, 2, "add")
 
+    @pytest.mark.parametrize("operand", [2.9, 16.0, "16", True, False, None])
+    @pytest.mark.parametrize("cap_on_left", [True, False], ids=["rhs", "lhs"])
+    def test_non_int_operand_rejected(self, operand, cap_on_left):
+        # the rule of check_seed: an int that is not a bool, never coerced
+        lhs, rhs = (cap(), operand) if cap_on_left else (operand, cap())
+        with pytest.raises(ValueError, match="operand must be an int"):
+            capint_binop(lhs, rhs, "add")
+
     def test_to_int64(self):
         sealed = seal_entry(set_address(make_root(0x4000, 0x100, EX), 0x4010))
         assert capint_to_int64(sealed) == 0x4010
@@ -600,6 +608,26 @@ def test_encode_layout_and_metadata_word(c, field, data):
 def test_encode_metadata_separates_values_with_equal_hashes(field, a, b):
     c = Capability(tag=True, address=0, base=0, top=0x100, perms=LD)
     assert meta(replace(c, **{field: a})) != meta(replace(c, **{field: b}))
+
+
+GOLDEN_ENCODINGS = {
+    "root": (make_root(0x1_2345_6780, 0x40, LD | ST),
+             "80674523010000005a0b4b68f1a83a86"),
+    "sealed-entry": (seal_entry(set_address(make_root(0x2000, 0x100, PERM_ALL), 0x2010)),
+                     "10200000000000002caf0be406a1acce"),
+    "top-2**64": (set_address(make_root(MASK64 - 0xFFFF, 0x1_0000, LD), MASK64 - 0xF),
+                  "f0ffffffffffffff97d4d44e7f0ecea3"),  # its top is 2**64
+    "int64_to_capint": (int64_to_capint(-2), "feffffffffffffffab155f773b6b9309"),
+}
+
+
+@pytest.mark.parametrize("c, golden", GOLDEN_ENCODINGS.values(), ids=GOLDEN_ENCODINGS)
+def test_encode_golden_bytes(c, golden):
+    assert c.encode().hex() == golden
+    for offset in (0, 16, 21, 48):  # aligned, unaligned, the buffer's last 16 bytes
+        buf = bytearray(range(64))
+        assert c.encode(buf, offset) is None
+        assert buf == bytes(range(offset)) + bytes.fromhex(golden) + bytes(range(offset + 16, 64))
 
 
 # -- integer permission masks and the slot-store constructor ---------------
