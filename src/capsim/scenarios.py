@@ -11,15 +11,15 @@ variant must produce in each configuration; whether the seal-mode and
 opt-level dimensions apply follows from that outcome. `CATALOGUE`, the
 dict from id to `Scenario` record in registration order, is the only
 registry: the harness, the CLI and `expected_outcome` derive everything
-from it. A runner takes `(vm, mode, cfg, payload)`, where `vm` is a
-fresh `MiniVm` per run, and returns `(kind, fault, expected, actual,
-detail)`; `run_scenario` adds the id, the mode and the applicable
-configuration. A payload of the wrong type raises `ValueError`. A
-record whose runner takes a payload also carries a `manifests(payload)`
-predicate, which reads the payload as the runner does and says whether
-the bug shows on it; `expected_outcome` applies it to a caller's payload
-without running the scenario. A record without one takes no payload:
-`run_scenario` and `expected_outcome` raise `ValueError` when given one.
+from it. A runner takes `(vm, mode, cfg)`, where `vm` is a fresh
+`MiniVm` per run, and returns `(kind, fault, expected, actual, detail)`;
+`run_scenario` adds the id, the mode and the applicable configuration.
+A record takes a caller's payload exactly when it has a `parse`
+function, which turns the payload into the runner's one extra input or
+raises `ValueError`; its runner gives that input a default. Each call of
+`run_scenario` or `expected_outcome` parses the payload once. An
+optional `manifests(input)` predicate says whether the bug shows on a
+parsed input; without it the bug shows on every input.
 """
 from __future__ import annotations
 
@@ -99,13 +99,14 @@ class ScenarioOutcome:
 @dataclass(frozen=True)
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
-    its buggy variant must produce in `cfg` on the default payload:
+    its buggy variant must produce in `cfg` on the default input:
     ("ok",), ("fault", FaultKind) or ("corrupt",); the fixed variant is
-    always Ok. `manifests(payload)` says whether the bug shows on a
-    caller's payload at all; where it does not, the buggy variant is Ok
-    too; a record without `manifests` takes no payload. A dimension
-    applies (`seal_sensitive`, `opt_sensitive`) when changing it alone
-    changes what `buggy` returns; both are worked out once, on creation."""
+    always Ok. A record takes a payload only when it has `parse(payload)`,
+    which returns the runner's input; `manifests(input)` says whether the
+    bug shows on that input at all; where it does not, the buggy variant
+    is Ok too. A dimension applies (`seal_sensitive`, `opt_sensitive`)
+    when changing it alone changes what `buggy` returns; both are worked
+    out once, on creation."""
     sid: str
     name: str
     title: str
@@ -113,6 +114,7 @@ class Scenario:
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
     run: Callable[..., tuple]
+    parse: Optional[Callable[[object], object]] = None
     manifests: Optional[Callable[[object], bool]] = None
     seal_sensitive: bool = field(init=False)
     opt_sensitive: bool = field(init=False)
@@ -131,13 +133,13 @@ SCENARIO_IDS = CATALOGUE.keys()
 
 
 def scenario(sid, name, title, category, buggy_expectation, *, buggy,
-             manifests=None):
+             parse=None, manifests=None):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
-        def run(mode, cfg, payload=None):
-            return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, payload)
+        def run(mode, cfg, *given):
+            return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, *given)
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
-                                  buggy, run, manifests)
+                                  buggy, run, parse, manifests)
         return runner
     return register
 
@@ -175,7 +177,7 @@ def _check(expected, actual, detail_ok="") -> tuple:
 
 @scenario("S1", "stack_scan_bounds", "invalid derived stack-scan pointer",
           "derived pointer", "BoundsFault (iteration 2)", buggy=lambda cfg: _BOUNDS)
-def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     refs = [0, 3, 7]
     entries = [("ref", r) for r in refs] + [("imm", 0x15), ("int", 0x1234)]
     vm.rng.shuffle(entries)
@@ -199,7 +201,7 @@ def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S2", "ambiguous_pointer", "dereferencing an ambiguous pointer",
           "ambiguous pointer", "TagFault", buggy=lambda cfg: _TAG)
-def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     dead = 5  # object reachable only via a pointer-like integer
     live = [1, 4]
     entries = [("ref", r) for r in live] + [("int", vm.object_addr(dead))]
@@ -218,7 +220,7 @@ def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S3", "inplace_realloc", "stale capability after in-place realloc",
           "reallocation", "BoundsFault", buggy=lambda cfg: _BOUNDS)
-def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     old_size, new_size = 64, 128
     chunk = vm.alloc.malloc(old_size)
     first = vm.rng.randbytes(old_size)
@@ -243,7 +245,8 @@ DEFAULT_MARK_SET = {3, 70, 127}
 
 
 def _s4_marks(payload) -> set[int]:
-    items = list(payload) if isinstance(payload, Iterable) else None
+    iterable = isinstance(payload, Iterable) and not isinstance(payload, str)
+    items = list(payload) if iterable else None
     if items is None or not all(_is_int(i) for i in items):
         raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
     nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
@@ -252,21 +255,18 @@ def _s4_marks(payload) -> set[int]:
     return set(items)
 
 
-def _s4_manifests(payload) -> bool:
+def _s4_manifests(marks: set[int]) -> bool:
     """Some mark lands in a padding bit of the buggy model's word."""
     stride = _WORD_MODEL["buggy"].storage_bits
-    return any(i % stride >= VALUE_WIDTH for i in _s4_marks(payload))
+    return any(i % stride >= VALUE_WIDTH for i in marks)
 
 
 @scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
           "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT,
-          manifests=_s4_manifests)
-def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    if payload is None:
-        marks = set(DEFAULT_MARK_SET)
-        marks |= set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
-    else:
-        marks = _s4_marks(payload)
+          parse=_s4_marks, manifests=_s4_manifests)
+def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, marks: set[int] | None = None) -> tuple:
+    if marks is None:  # drawn from the VM's rng, so only once the VM exists
+        marks = DEFAULT_MARK_SET | set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
     bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, _WORD_MODEL[mode])
     for i in sorted(marks):
         bitmap.set(i)
@@ -278,7 +278,7 @@ def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S5", "shape_id", "shape id shifted past the value width",
           "integer padding", "Corrupt (shape reads back 0)", buggy=lambda cfg: _CORRUPT)
-def _s5(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s5(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     shape_id = vm.rng.randrange(1, 1 << SHAPE_ID_NUM_BITS)
     shift = _WORD_MODEL[mode].storage_bits - SHAPE_ID_NUM_BITS
 
@@ -315,19 +315,19 @@ def _s6_bytes(payload) -> bytes:
     return raw
 
 
-def _s6_manifests(payload) -> bool:
+def _s6_manifests(raw: bytes) -> bool:
     """Some lead byte sits in the padding half of a buggy-model word."""
     stride = _WORD_MODEL["buggy"].storage_bytes
-    buf = pad_utf8(_s6_bytes(payload), stride)
+    buf = pad_utf8(raw, stride)
     return any(utf8_lead_oracle(buf[off + VALUE_WIDTH // 8:off + stride])
                for off in range(0, len(buf), stride))
 
 
 @scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
           "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT,
-          manifests=_s6_manifests)
-def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    raw = DEFAULT_S6_TEXT.encode() if payload is None else _s6_bytes(payload)
+          parse=_s6_bytes, manifests=_s6_manifests)
+def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig,
+        raw: bytes = DEFAULT_S6_TEXT.encode()) -> tuple:
     model = _WORD_MODEL[mode]
     buf = pad_utf8(raw, model.storage_bytes)
     chunk = vm.alloc.malloc(len(buf))
@@ -357,7 +357,7 @@ def _find_symbol_oracle(addr: int) -> str | None:
 @scenario("S7", "backtrace_symbols", "symbol search on sealed return address",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
           buggy=_seal_fault_in_fault_mode)
-def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     trace_addr = vm.return_address(CODE_BASE + 0x1A0)
     found = None
     for sym in SYMBOL_TABLE:
@@ -385,17 +385,10 @@ def _s8_address(payload) -> int:
     return payload
 
 
-def _s8_manifests(payload) -> bool:
-    """The dispatch capability is sealed whatever its address."""
-    _s8_address(payload)
-    return True
-
-
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
-          buggy=_seal_fault_in_fault_mode, manifests=_s8_manifests)
-def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
-    addr = CODE_BASE + 0x40 if payload is None else _s8_address(payload)
+          buggy=_seal_fault_in_fault_mode, parse=_s8_address)
+def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, addr: int = CODE_BASE + 0x40) -> tuple:
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
     oracle = insn_hash_int(addr & MASK64)
     if mode == "buggy":
@@ -414,7 +407,7 @@ def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 @scenario("S9", "immediate_test_sealed", "immediate test on a sealed return address",
           "sealed capability", "SealFault (O0 + fault mode) / Ok otherwise",
           buggy=lambda cfg: _seal_fault_in_fault_mode(cfg) if cfg.opt_level == "O0" else _OK)
-def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     refs = [2, 6]
     entries = [("ref", r) for r in refs] + [("ret", CODE_BASE + 0x180), ("imm", 0x2B)]
     vm.rng.shuffle(entries)
@@ -434,7 +427,7 @@ def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S10", "downcast_sizet", "container downcast via a plain integer",
           "integer cast", "TagFault", buggy=lambda cfg: _TAG)
-def _s10(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s10(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     member_offset = 24  # fixed record-layout constant
     rec = vm.alloc.malloc(64)
     planted = vm.rng.getrandbits(64)
@@ -459,7 +452,7 @@ def _s10(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S11", "mprotect_tags", "page protection invalidates stored tags",
           "page protection", "TagFault", buggy=lambda cfg: _TAG)
-def _s11(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s11(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     slot = vm.heap_page.base  # page-aligned granule inside the heap page
     stored = vm.object_ref(3)
     vm.mem.store_cap(vm.heap_page, slot, stored)
@@ -481,7 +474,7 @@ def _s11(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
 
 @scenario("S12", "makecontext_args", "context copy truncates capability arguments",
           "context arguments", "TagFault", buggy=lambda cfg: _TAG)
-def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
+def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     ctx = vm.alloc.malloc(64)
     arg = vm.object_ref(9)
     header = vm.rng.getrandbits(64)
@@ -503,40 +496,44 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig, payload) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def _lookup(sid: str, mode: str, payload) -> Scenario:
+def _lookup(sid: str, mode: str, config, payload) -> tuple[Scenario, ScenarioConfig, tuple]:
+    """Check one call's arguments and return its record, its config (`None`
+    means the default) and its parsed payload as a tuple, `()` if none."""
     if sid not in CATALOGUE:
         raise ValueError(f"unknown scenario id {sid!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
+    cfg = ScenarioConfig() if config is None else config
+    if not isinstance(cfg, ScenarioConfig):
+        raise ValueError(f"config must be a ScenarioConfig or None, not {config!r}")
     record = CATALOGUE[sid]
-    if payload is not None and record.manifests is None:
+    if payload is not None and record.parse is None:
         raise ValueError(f"{sid} needs no payload, not {payload!r}")
-    return record
+    return record, cfg, () if payload is None else (record.parse(payload),)
 
 
 def run_scenario(sid: str, mode: str,
                  config: ScenarioConfig | None = None,
                  payload=None) -> ScenarioOutcome:
     """Run one scenario variant on a fresh simulator instance."""
-    record = _lookup(sid, mode, payload)
-    cfg = config or ScenarioConfig()
+    record, cfg, given = _lookup(sid, mode, config, payload)
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode._value_ if record.seal_sensitive else None,
                            cfg.opt_level if record.opt_sensitive else None,
-                           *record.run(mode, cfg, payload))
+                           *record.run(mode, cfg, *given))
 
 
-def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig, payload=None) -> tuple:
+def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig | None, payload=None) -> tuple:
     """The catalogued expectation for one (scenario, mode, config) cell,
     run on `payload` (`None` for the scenario's default input).
 
-    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The S4, S6 and
-    S8 predicates read the payload as their runners do, so a payload of the
-    wrong type for them raises `ValueError` here too, as does any payload
-    for a scenario that takes none.
+    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The payload is
+    parsed as `run_scenario` parses it, so a payload the scenario rejects,
+    or any payload for a scenario that takes none, raises `ValueError`
+    here too, as does a `cfg` that is not a `ScenarioConfig` or `None`.
     """
-    record = _lookup(sid, mode, payload)
-    shows = payload is None or record.manifests(payload)
+    record, cfg, given = _lookup(sid, mode, cfg, payload)
+    shows = not given or record.manifests is None or record.manifests(*given)
     return record.buggy(cfg) if mode == "buggy" and shows else _OK
 
 

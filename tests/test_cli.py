@@ -265,7 +265,7 @@ OK = (OutcomeKind.OK, None, None, None, "throwaway ok")
 def _register_s13(monkeypatch, buggy_result):
     """Register S13, whose record expects a tag fault from its buggy
     variant and whose runner reports `buggy_result` (or raises it)."""
-    def run(mode, cfg, payload=None):
+    def run(mode, cfg):
         if isinstance(buggy_result, Exception) and mode == "buggy":
             raise buggy_result
         return buggy_result if mode == "buggy" else OK
@@ -301,7 +301,7 @@ def test_a_registered_scenario_runs_in_the_dimensions_its_expectation_varies_in(
 
     @scenario("S13", "seal_at_o1", "a sealed temporary at O1 only", "test",
               "SealFault (O1 + fault mode) / Ok otherwise", buggy=buggy)
-    def _s13(vm, mode, cfg, payload):
+    def _s13(vm, mode, cfg):
         if mode == "buggy" and cfg.opt_level == "O1":
             try:
                 vm.binop(vm.return_address(CODE_BASE), 1, "add")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -152,6 +153,7 @@ MALFORMED_PAYLOADS = {
     "S1-list": ("S1", "buggy", [1, 2]),
     "S9-str": ("S9", "fixed", "x"),
     "S4-str": ("S4", "fixed", "ab"),
+    "S4-empty-str": ("S4", "fixed", ""),
     "S4-float-item": ("S4", "buggy", [1.5]),
     "S4-bool-item": ("S4", "buggy", [True]),
     "S4-int": ("S4", "fixed", 5),
@@ -170,6 +172,40 @@ MALFORMED_PAYLOADS = {
 def test_malformed_payload_raises_value_error(sid, mode, payload):
     with pytest.raises(ValueError, match=f"^{sid} needs"):
         run_scenario(sid, mode, payload=payload)
+
+
+def test_a_payload_is_parsed_once_per_call(monkeypatch):
+    record = CATALOGUE["S4"]
+    parsed, manifested = [], []
+
+    def counting(payload):
+        parsed.append(payload)
+        return record.parse(payload)
+
+    def manifests(marks):
+        manifested.append(marks)
+        return record.manifests(marks)
+
+    monkeypatch.setitem(CATALOGUE, "S4", dataclasses.replace(
+        record, parse=counting, manifests=manifests))
+    assert run_scenario("S4", "buggy", None, [70, 3]).kind is OutcomeKind.CORRUPT
+    assert parsed == [[70, 3]] and manifested == []
+    assert expected_outcome("S4", "buggy", None, (70, 3)) == ("corrupt",)
+    assert parsed == [[70, 3], (70, 3)] and manifested == [{3, 70}]
+
+
+@pytest.mark.parametrize("config", [{}, 0, "x", SealMode.FAULT_ON_MODIFY],
+                         ids=["empty-dict", "zero", "str", "seal-mode"])
+def test_a_config_that_is_not_a_scenario_config_raises_value_error(config):
+    with pytest.raises(ValueError, match="^config must be a ScenarioConfig"):
+        run_scenario("S7", "buggy", config)
+    with pytest.raises(ValueError, match="^config must be a ScenarioConfig"):
+        expected_outcome("S7", "buggy", config)
+
+
+def test_no_config_means_the_default_config():
+    assert run_scenario("S7", "buggy", None) == run_scenario("S7", "buggy", ScenarioConfig())
+    assert expected_outcome("S7", "buggy", None) == ("fault", FaultKind.SEAL)
 
 
 def test_s6_buggy_undercounts():
