@@ -134,7 +134,11 @@ class CapAllocator:
         spans end at or before a capability's base, so only the first span
         ending after `base` can intersect it, and it does exactly when it
         starts below `top` and `base < top`; each tagged capability bisects
-        the span ends for that span.  With T tagged granules, Q quarantined
+        the span ends for that span.  A sentinel start of 2**65, above any
+        `top`, stands for "no such span", so the test needs no bounds check.
+        One comprehension over `iter_tagged`'s snapshot collects the revoked
+        granules first; their tags are cleared after it, in ascending
+        address order.  With T tagged granules, Q quarantined
         regions and F free-list entries the sweep costs O(T log Q + Q log Q
         + F), plus `iter_tagged`'s sort of the granule indices: O(T) when
         the side table already holds them in ascending order, else O(T log T).
@@ -142,20 +146,17 @@ class CapAllocator:
         """
         spans = _coalesce(self.quarantine)
         starts = [start for start, _ in spans]
+        starts.append(1 << 65)
         ends = [start + length for start, length in spans]
-        n = len(spans)
+        revoked = [addr for addr, cap in self.mem.iter_tagged()
+                   if starts[bisect_right(ends, cap.base)] < cap.top and cap.base < cap.top]
         clear = self.mem.clear_granule_tag
-        cleared = 0
-        for addr, cap in self.mem.iter_tagged():
-            base, top = cap.base, cap.top
-            i = bisect_right(ends, base)
-            if i < n and starts[i] < top and base < top:
-                clear(addr)
-                cleared += 1
+        for addr in revoked:
+            clear(addr)
         self.free_list = _coalesce(self.free_list + spans)
         self.quarantine = []
         self.epoch += 1
-        return cleared
+        return len(revoked)
 
     def realloc(self, old: Capability, n: int) -> Capability:
         old_size = self._object_size(old, "realloc")

@@ -138,13 +138,14 @@ class TaggedMemory:
     # -- raw inspection (runtime sweeps and test oracles) --------------
 
     def iter_tagged(self) -> Iterator[tuple[int, Capability]]:
-        """Yield (granule base address, capability) for every tagged granule
-        in ascending address order.  The granule indices are sorted and
-        every capability is read before the first item is yielded, so the
-        consumer may clear tags as it goes."""
+        """Return a `zip` of (granule base address, capability) for every
+        tagged granule in ascending address order.  The snapshot is taken
+        when this method is called: the granule indices are sorted and every
+        capability is read before it returns, so the consumer may clear
+        tags as it goes."""
         caps = self.granule_caps
         keys = sorted(caps)
-        yield from zip([g * GRANULE for g in keys], [caps[g] for g in keys])
+        return zip([g * GRANULE for g in keys], [caps[g] for g in keys])
 
     def clear_granule_tag(self, addr: int) -> None:
         self.granule_caps.pop(addr // GRANULE, None)

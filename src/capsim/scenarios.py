@@ -24,7 +24,7 @@ parsed input; without it the bug shows on every input.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -245,7 +245,9 @@ DEFAULT_MARK_SET = {3, 70, 127}
 
 
 def _s4_marks(payload) -> set[int]:
-    iterable = isinstance(payload, Iterable) and not isinstance(payload, str)
+    # text, binary data and a mapping's keys are not a set of marks
+    iterable = isinstance(payload, Iterable) and not isinstance(
+        payload, (str, bytes, bytearray, memoryview, Mapping))
     items = list(payload) if iterable else None
     if items is None or not all(_is_int(i) for i in items):
         raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
@@ -380,8 +382,8 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
 def _s8_address(payload) -> int:
-    if not _is_int(payload):
-        raise ValueError(f"S8 needs an int address, not {payload!r}")
+    if not _is_int(payload) or not 0 <= payload <= MASK64:
+        raise ValueError(f"S8 needs an int address in [0, 2**64), not {payload!r}")
     return payload
 
 
@@ -390,7 +392,7 @@ def _s8_address(payload) -> int:
           buggy=_seal_fault_in_fault_mode, parse=_s8_address)
 def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, addr: int = CODE_BASE + 0x40) -> tuple:
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
-    oracle = insn_hash_int(addr & MASK64)
+    oracle = insn_hash_int(addr)
     if mode == "buggy":
         try:
             h = insn_hash_capint(dispatch, vm.seal_mode, vm.advisories)

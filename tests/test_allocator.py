@@ -391,6 +391,28 @@ def test_revoke_matches_all_pairs_oracle(data):
     _revoke_and_compare(mem, alloc, stored)
 
 
+def test_revoke_matches_oracle_at_benchmark_scale():
+    """512 objects and 512 stored copies, a quarter of them spanning two
+    neighbours, stored in shuffled slot order; 256 objects freed."""
+    rng = random.Random(2019)
+    mem = TaggedMemory(1 << 20)
+    root = make_root(0, 1 << 20, Perm.LOAD | Perm.STORE)
+    alloc = CapAllocator(mem, root)
+    objs = [alloc.malloc(rng.randint(16, 256)) for _ in range(512)]
+    holder = alloc.malloc(512 * GRANULE)
+    stored = {}
+    for k in rng.sample(range(512), 512):
+        i = rng.randrange(len(objs) - 1)
+        value = (set_bounds(root, objs[i].base, objs[i + 1].top - objs[i].base)
+                 if rng.random() < 0.25 else objs[i])
+        stored[holder.base + k * GRANULE] = value
+        mem.store_cap(holder, holder.base + k * GRANULE, value)
+    assert list(mem.granule_caps) != sorted(mem.granule_caps)  # iter_tagged sorts
+    for i in rng.sample(range(len(objs)), 256):
+        alloc.free(objs[i])
+    _revoke_and_compare(mem, alloc, stored)
+
+
 def test_revoke_iterates_once_and_clears_through_memory(setup, monkeypatch):
     """One sweep reads the tagged granules with one `iter_tagged` and
     clears each revoked one with one `clear_granule_tag`, nothing else."""

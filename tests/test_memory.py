@@ -215,6 +215,16 @@ def test_iter_tagged_is_an_ascending_snapshot(mem, auth):
     assert list(mem.iter_tagged()) == []
 
 
+def test_iter_tagged_snapshot_is_taken_at_the_call(mem, auth):
+    stored = {addr: make_root(addr, 0x10, LD) for addr in (2 * PAGE, 0x30, 0)}
+    for addr, value in stored.items():
+        mem.store_cap(auth, addr, value)
+    items = mem.iter_tagged()
+    for addr in stored:  # before the first next()
+        mem.clear_granule_tag(addr)
+    assert list(items) == sorted(stored.items())
+
+
 def test_tag_data_coherence_random_ops(mem, auth):
     rng = random.Random(42)
     for _ in range(500):

@@ -159,11 +159,18 @@ MALFORMED_PAYLOADS = {
     "S4-int": ("S4", "fixed", 5),
     "S4-past-the-page": ("S4", "buggy", [200]),
     "S4-negative": ("S4", "buggy", [-1]),
+    "S4-bytes": ("S4", "buggy", b"\x03F"),
+    "S4-bytearray": ("S4", "buggy", bytearray(b"\x03F")),
+    "S4-dict": ("S4", "buggy", {3: "a", 70: "b"}),
+    "S4-memoryview": ("S4", "buggy", memoryview(b"\x03F")),
     "S6-int": ("S6", "fixed", 123),
     "S6-list": ("S6", "fixed", [104, 105]),
     "S8-str": ("S8", "buggy", "abc"),
     "S8-float": ("S8", "fixed", 4096.0),
     "S8-bool": ("S8", "buggy", True),
+    "S8-negative": ("S8", "fixed", -1),
+    "S8-2**64": ("S8", "fixed", 1 << 64),
+    "S8-2**70": ("S8", "fixed", 1 << 70),
 }
 
 
@@ -311,7 +318,7 @@ PAYLOADS = {
                     st.frozensets(st.integers(0, 127)).map(tuple)),
     "S6": st.one_of(st.text(min_size=1), st.binary(min_size=1),
                     st.binary(min_size=1).map(bytearray)),
-    "S8": st.integers(),
+    "S8": st.integers(0, (1 << 64) - 1),
 }
 
 
@@ -327,6 +334,9 @@ PAYLOADS = {
 @example(("S4", [64]), "buggy", SealMode.FAULT_ON_MODIFY)
 @example(("S6", "abcdefgh"), "buggy", SealMode.FAULT_ON_MODIFY)
 @example(("S6", "abcdefghi"), "buggy", SealMode.FAULT_ON_MODIFY)
+@example(("S4", range(60, 70)), "buggy", SealMode.FAULT_ON_MODIFY)
+@example(("S8", 0), "fixed", SealMode.FAULT_ON_MODIFY)
+@example(("S8", (1 << 64) - 1), "fixed", SealMode.INVALIDATE_ON_MODIFY)
 def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
     sid, payload = case
     cfg = ScenarioConfig(seal_mode=seal)
