@@ -19,13 +19,16 @@ object moves (malloc, copy, free) if `rest < 0`; otherwise one free-list
 write makes (base + size, rest) that block, inserting it, or dropping it
 when `rest` is 0.  A shrink, an equal size and growth in place are all
 this write, after one O(log F) bisection of the F-entry free list.
+A size that fails `check_int` (not an int, or a `bool`) raises
+`ValueError`, and an int size below one byte raises `AllocError`, both
+before the heap is touched.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .capability import _UNSEALED, Capability, set_address, set_bounds
+from .capability import _UNSEALED, Capability, check_int, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
@@ -109,7 +112,7 @@ class CapAllocator:
     # -- public surface ------------------------------------------------
 
     def malloc(self, n: int) -> Capability:
-        if n < 1:
+        if check_int(n, "allocation size") < 1:
             raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
         base = self._take(size)
@@ -160,7 +163,7 @@ class CapAllocator:
 
     def realloc(self, old: Capability, n: int) -> Capability:
         old_size = self._object_size(old, "realloc")
-        if n < 1:
+        if check_int(n, "allocation size") < 1:
             raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
         end = old.base + old_size

@@ -4,7 +4,9 @@ A capability is a fat pointer: a 64-bit address plus bounds, permissions,
 a seal state, and a 1-bit validity tag.  Derivation is monotonic (bounds
 and permissions can only shrink), sealing makes a capability immutable
 and non-dereferenceable, and arithmetic on capability-typed integers
-inherits metadata from the capability operand.
+inherits metadata from the capability operand.  `check_int` is the one
+rule for a number entering the model, here and in the layers above: an
+int, not a `bool`, in the caller's range, else `ValueError`.
 """
 from __future__ import annotations
 
@@ -169,14 +171,27 @@ Capability.__init__ = _slot_init()
 CapInt = Capability
 
 
+def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The one rule for a number entering the model: return `value` if it
+    is an int, not a `bool`, in [lo, hi) (a `None` bound is open), and
+    raise `ValueError` naming `what` otherwise.  Nothing is coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        span = "non-negative" if (lo, hi) == (0, None) else f"in [{lo}, {hi})"
+        raise ValueError(f"{what} must be {span}, not {value!r}")
+    return value
+
+
 def make_root(base: int, length: int, perms: Perm) -> Capability:
     """Construct a fresh tagged capability covering [base, base+length).
 
     This is the only source of authority; everything else derives from a
-    root monotonically.
+    root monotonically.  `base` must be an int in [0, 2**64) and `length`
+    a non-negative int (see `check_int`), else `ValueError`.
     """
-    if base < 0 or length < 0 or base > MASK64:
-        raise ValueError("base/length out of range")
+    check_int(base, "root base", 0, 1 << 64)
+    check_int(length, "root length", 0)
     if base + length > 1 << 64:
         raise ValueError("bounds overflow the address space")
     return Capability(True, base, base, base + length, perms)
@@ -286,7 +301,8 @@ def capint_binop(lhs, rhs, op: str,
     also records an "ambiguous-provenance" advisory).  Producing the
     result modifies the address of the inherited capability, so a sealed
     source follows the seal-semantics mode.  A non-capability operand
-    must be an int (not a bool); anything else raises `ValueError`.
+    must pass `check_int` (an int, not a bool); anything else raises
+    `ValueError`.
 
     Shifts by 64 or more yield the deterministic sentinel value 0.
     """
@@ -300,12 +316,8 @@ def capint_binop(lhs, rhs, op: str,
 
     if op not in _BINOPS:
         raise ValueError(f"unknown operation {op!r}")
-    if not (lcap and rcap):
-        other = rhs if lcap else lhs
-        if isinstance(other, bool) or not isinstance(other, int):
-            raise ValueError(f"a non-capability operand must be an int, not {other!r}")
-    a = lhs.address if lcap else int(lhs) & MASK64
-    b = rhs.address if rcap else int(rhs) & MASK64
+    a = lhs.address if lcap else int(check_int(lhs, "a non-capability operand")) & MASK64
+    b = rhs.address if rcap else int(check_int(rhs, "a non-capability operand")) & MASK64
     value = _BINOPS[op](a, b) & MASK64
 
     tag = source.tag

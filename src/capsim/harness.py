@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .capability import SealMode
+from .capability import SealMode, check_int
 from .scenarios import (
     CATALOGUE,
     MODES,
@@ -18,7 +18,6 @@ from .scenarios import (
     outcome_matches,
     run_scenario,
 )
-from .vm import check_seed
 
 _SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
 _OPT_CHOICES = {o: [o] for o in OPT_LEVELS} | {"both": list(OPT_LEVELS)}
@@ -34,7 +33,7 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_int(self.seed, "seed", 0)
         unknown = [s for s in self.scenarios if s not in CATALOGUE]
         if unknown:
             raise ValueError(f"unknown scenario id(s): {', '.join(unknown)}")

@@ -17,6 +17,9 @@ without `prot_cap`; with `prot_cap` the tags are kept, and a change
 between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
+The memory size and the `mprotect` start and length must pass
+`check_int`, and `store_cap` stores only a `Capability`; anything else
+raises `ValueError`.
 An access that passes its capability check but reaches past the end of
 memory faults as unmapped.  An access checks its pages first to last and
 stops at the first that denies it, whose index the fault names.
@@ -24,6 +27,7 @@ stops at the first that denies it, whose index the fault names.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +38,7 @@ from .capability import (
     Perm,
     PERM_ALL,
     check_access,
+    check_int,
     int64_to_capint,
 )
 
@@ -53,7 +58,8 @@ class PageProtRequest:
 
 class TaggedMemory:
     def __init__(self, size: int):
-        if size <= 0 or size % PAGE != 0:
+        # a bytearray holds fewer than sys.maxsize bytes
+        if check_int(size, "memory size", 1, sys.maxsize) % PAGE != 0:
             raise ValueError("size must be a positive multiple of the page size")
         self.size = size
         self.data = bytearray(size)
@@ -80,6 +86,8 @@ class TaggedMemory:
         raise CapFault(FaultKind.PERMISSION, f"page {page:#x} denies {kind.name}")
 
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
+        if not isinstance(value, Capability):
+            raise ValueError(f"store_cap stores a Capability, not {value!r}")
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, f"capability store at {addr:#x}")
         self._check(authority, addr, _STORE, GRANULE)
@@ -118,16 +126,16 @@ class TaggedMemory:
     # -- page protection ----------------------------------------------
 
     def mprotect(self, req: PageProtRequest) -> None:
-        if req.length < 0:
-            raise ValueError("mprotect length must be >= 0")
-        if req.start % PAGE != 0 or req.length % PAGE != 0:
+        start = check_int(req.start, "mprotect start", 0)
+        length = check_int(req.length, "mprotect length", 0)
+        if start % PAGE != 0 or length % PAGE != 0:
             raise ValueError("mprotect range must be page aligned")
-        if req.start < 0 or req.start + req.length > self.size:
+        if start + length > self.size:
             raise ValueError("mprotect range outside memory")
         perms = req.perms._value_
         strip = perms & _ACCESS and not req.prot_cap
         caps = self.granule_caps
-        for page in range(req.start // PAGE, (req.start + req.length) // PAGE):
+        for page in range(start // PAGE, (start + length) // PAGE):
             # restoring access to an inaccessible page strips its tags
             if strip and not self.page_perms[page] & _ACCESS:
                 g0 = page * PAGE // GRANULE

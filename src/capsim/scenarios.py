@@ -38,6 +38,7 @@ from .capability import (
     SealMode,
     WordModel,
     capint_to_int64,
+    check_int,
     int64_to_capint,
     set_address,
     set_bounds,
@@ -54,7 +55,6 @@ from .vm import (
     STACK_SLOT,
     SymbolEntry,
     MarkBitmap,
-    check_seed,
     count_utf8_lead_bytes,
     insn_hash_capint,
     insn_hash_int,
@@ -76,7 +76,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_int(self.seed, "seed", 0)
         if not isinstance(self.seal_mode, SealMode):
             raise ValueError(f"seal mode must be a SealMode, not {self.seal_mode!r}")
         if self.opt_level not in OPT_LEVELS:
@@ -150,11 +150,6 @@ _BOUNDS = ("fault", FaultKind.BOUNDS)
 _TAG = ("fault", FaultKind.TAG)
 _SEAL = ("fault", FaultKind.SEAL)
 _WORD_MODEL = {"buggy": WordModel.PADDED_CAP, "fixed": WordModel.EXACT64}
-
-
-def _is_int(value) -> bool:
-    """An int payload item; `bool` is an `int` subclass but means no number."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _seal_fault_in_fault_mode(cfg: ScenarioConfig) -> tuple:
@@ -246,15 +241,11 @@ DEFAULT_MARK_SET = {3, 70, 127}
 
 def _s4_marks(payload) -> set[int]:
     # text, binary data and a mapping's keys are not a set of marks
-    iterable = isinstance(payload, Iterable) and not isinstance(
-        payload, (str, bytes, bytearray, memoryview, Mapping))
-    items = list(payload) if iterable else None
-    if items is None or not all(_is_int(i) for i in items):
+    if not isinstance(payload, Iterable) or isinstance(
+            payload, (str, bytes, bytearray, memoryview, Mapping)):
         raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
     nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
-    if not all(0 <= i < nbits for i in items):
-        raise ValueError(f"S4 needs marks in [0, {nbits}), not {payload!r}")
-    return set(items)
+    return {check_int(i, "S4 needs marks, each of which", 0, nbits) for i in payload}
 
 
 def _s4_manifests(marks: set[int]) -> bool:
@@ -382,9 +373,7 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
 def _s8_address(payload) -> int:
-    if not _is_int(payload) or not 0 <= payload <= MASK64:
-        raise ValueError(f"S8 needs an int address in [0, 2**64), not {payload!r}")
-    return payload
+    return check_int(payload, "S8 needs an address, which", 0, 1 << 64)
 
 
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",

@@ -24,6 +24,7 @@ from .capability import (
     WordModel,
     capint_binop,
     capint_to_int64,
+    check_int,
     int64_to_capint,
     make_root,
     seal_entry,
@@ -55,17 +56,6 @@ MODES = ("buggy", "fixed")
 OPT_LEVELS = ("O0", "O1")
 
 
-def check_seed(seed) -> None:
-    """A run is reproducible only from a non-negative int seed: anything
-    else, `None` and `bool` included, raises `ValueError`. A negative seed
-    is rejected because `random.Random(-n)` draws the stream of `n`, so a
-    run would report one seed and draw another's data."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an int, not {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed!r}")
-
-
 def _check_variant(variant: str, opt_level: str = "O0") -> None:
     """A runtime idiom runs as one of `MODES` at one of `OPT_LEVELS`;
     anything else raises `ValueError`."""
@@ -90,7 +80,7 @@ class MarkBitmap:
     size (128 bits), so bit offsets of 64 and above fall into padding:
     the shift saturates to the sentinel 0 and the or-update is dropped.
     Under the exact-width model every bit is addressable.  An index
-    outside [0, nbits) raises `ValueError`.
+    that is not an int in [0, nbits) raises `ValueError` (`check_int`).
     """
 
     nbits: int
@@ -103,9 +93,7 @@ class MarkBitmap:
 
     def _locate(self, i: int) -> tuple[int, int]:
         """(word index, bit offset in the word) of bit `i`."""
-        if not 0 <= i < self.nbits:
-            raise ValueError(f"bit index {i} outside [0, {self.nbits})")
-        return divmod(i, self.model.storage_bits)
+        return divmod(check_int(i, "bit index", 0, self.nbits), self.model.storage_bits)
 
     def set(self, i: int) -> None:
         index, offset = self._locate(i)
@@ -204,9 +192,9 @@ class MiniVm:
     arena_cap = make_root(HEAP_BASE, HEAP_SIZE, Perm.LOAD | Perm.STORE)
 
     def __init__(self, seal_mode: SealMode = SealMode.FAULT_ON_MODIFY, seed: int = 0):
-        check_seed(seed)
+        # random.Random(-n) draws the stream of n, so a seed must be non-negative
+        self.seed = check_int(seed, "seed", 0)
         self.seal_mode = seal_mode
-        self.seed = seed
         self.advisories: list[str] = []
         self.mem = TaggedMemory(MEM_SIZE)
         self.alloc = CapAllocator(self.mem, self.arena_cap)

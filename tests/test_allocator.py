@@ -466,6 +466,37 @@ def test_realloc_below_one_byte_raises(setup, n):
     assert alloc.quarantine == [(y.base, 32)]
 
 
+# -- a size that is not an int -------------------------------------------------
+
+NON_INT_SIZES = [2.5, 16.0, "x", True, None]
+
+
+@pytest.mark.parametrize("n", NON_INT_SIZES, ids=repr)
+def test_malloc_of_a_non_int_size_leaves_the_heap_unpoisoned(setup, n):
+    # a float size used to write a float base into the free list, so every
+    # later block had float bounds
+    _, alloc = setup
+    alloc.malloc(32)
+    before = _allocator_state(alloc)
+    with pytest.raises(ValueError, match="allocation size must be an int"):
+        alloc.malloc(n)
+    assert _allocator_state(alloc) == before
+    c = alloc.malloc(16)
+    assert all(type(v) is int for v in (c.address, c.base, c.top))
+    assert all(type(v) is int for region in alloc.free_list for v in region)
+
+
+@pytest.mark.parametrize("n", NON_INT_SIZES, ids=repr)
+def test_realloc_to_a_non_int_size_leaves_the_heap_unchanged(setup, n):
+    _, alloc = setup
+    y = alloc.malloc(32)
+    before = _allocator_state(alloc)
+    with pytest.raises(ValueError, match="allocation size must be an int"):
+        alloc.realloc(y, n)
+    assert _allocator_state(alloc) == before
+    assert alloc.realloc(y, 48).base == y.base  # y is still the live object it was
+
+
 # -- the free list under in-place resizes, moves and first fit ---------------
 
 def _free_gaps(alloc):

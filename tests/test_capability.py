@@ -255,7 +255,7 @@ class TestCapIntOps:
     @pytest.mark.parametrize("operand", [2.9, 16.0, "16", True, False, None])
     @pytest.mark.parametrize("cap_on_left", [True, False], ids=["rhs", "lhs"])
     def test_non_int_operand_rejected(self, operand, cap_on_left):
-        # the rule of check_seed: an int that is not a bool, never coerced
+        # the rule of check_int: an int that is not a bool, never coerced
         lhs, rhs = (cap(), operand) if cap_on_left else (operand, cap())
         with pytest.raises(ValueError, match="operand must be an int"):
             capint_binop(lhs, rhs, "add")

@@ -7,7 +7,8 @@ from capsim.capability import (
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
-from capsim.vm import MiniVm, count_utf8_lead_bytes
+from capsim.scenarios import CATALOGUE, ScenarioConfig, run_scenario
+from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes
 
 
 def _root():
@@ -18,17 +19,24 @@ REJECTIONS = {
     "malloc-0": (AllocError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).malloc(0)),
     "root-negative-base": (ValueError, lambda: make_root(-16, 16, Perm.LOAD)),
     "root-base-past-2**64": (ValueError, lambda: make_root(2**64, 0, Perm.LOAD)),
+    "root-float-base": (ValueError, lambda: make_root(0.5, 16, Perm.LOAD)),
+    "root-bool-base": (ValueError, lambda: make_root(True, 16, Perm.LOAD)),
+    "bitmap-bool-index": (ValueError, lambda: MarkBitmap(128, WordModel.EXACT64).set(True)),
     "binop-mul": (ValueError, lambda: capint_binop(_root(), 2, "mul")),
     "runspec-mode": (ValueError, lambda: RunSpec(mode="bogus")),
     "runspec-seal-semantics": (ValueError, lambda: RunSpec(seal_semantics="bogus")),
     "runspec-opt-level": (ValueError, lambda: RunSpec(opt_level="O3")),
     "memory-empty": (ValueError, lambda: TaggedMemory(0)),
     "memory-partial-page": (ValueError, lambda: TaggedMemory(1000)),
+    "memory-float-size": (ValueError, lambda: TaggedMemory(4096.0)),
+    "store-cap-int-value": (ValueError, lambda: TaggedMemory(PAGE).store_cap(_root(), 0, 5)),
     "load-cap-unaligned": (CapFault, lambda: TaggedMemory(PAGE).load_cap(_root(), 8)),
     "mprotect-unaligned": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
         PageProtRequest(16, PAGE, Perm.LOAD))),
     "mprotect-past-end": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
         PageProtRequest(0, 2 * PAGE, Perm.LOAD))),
+    "mprotect-float-start": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
+        PageProtRequest(0.0, PAGE, Perm.LOAD))),
     "utf8-partial-word": (ValueError, lambda: count_utf8_lead_bytes(b"abc", WordModel.EXACT64)),
     "stack-entry-kind": (ValueError, lambda: MiniVm().lay_out_stack([("bogus", 0)])),
     "gc-mark-variant": (ValueError, lambda: MiniVm().gc_mark(
@@ -53,3 +61,63 @@ def test_gc_mark_skips_a_capability_outside_the_heap_page(variant):
     vm = MiniVm()
     assert vm.gc_mark(vm.stack_cap, variant) is False
     assert vm.marked_objects() == set()
+
+
+# Every numeric entry point guarded by `check_int`, and `store_cap`'s value,
+# meets the same hostile values: one that is not an int raises `ValueError`,
+# and an int is either accepted or raises a defined error.  Out of this table, on purpose, a
+# `TypeError` stays:
+# - for `capint_binop` with no capability operand: no metadata to inherit,
+#   so the call is a misuse of the type, not a bad number;
+# - for a float address or size in `load_bytes`, `store_bytes` and
+#   `set_address`: these are the per-access hot path, and a check there
+#   waits for its own measurement on the heap_churn workload.
+NOT_INTS = [True, 16.0, 2.5, "16", b"\x10", None]
+HOSTILE_INTS = [-1, 2**64, 2**70]
+
+
+def _realloc(n):
+    alloc = CapAllocator(TaggedMemory(PAGE), _root())
+    return alloc.realloc(alloc.malloc(32), n)
+
+
+NUMERIC_ENTRY_POINTS = {
+    "make_root-base": lambda v: make_root(v, 16, Perm.LOAD),
+    "make_root-length": lambda v: make_root(0, v, Perm.LOAD),
+    "capint_binop-lhs": lambda v: capint_binop(v, _root(), "add"),
+    "capint_binop-rhs": lambda v: capint_binop(_root(), v, "shl"),
+    "malloc": lambda v: CapAllocator(TaggedMemory(PAGE), _root()).malloc(v),
+    "realloc": _realloc,
+    "memory-size": TaggedMemory,
+    "mprotect-start": lambda v: TaggedMemory(PAGE).mprotect(PageProtRequest(v, PAGE, Perm.LOAD)),
+    "mprotect-length": lambda v: TaggedMemory(PAGE).mprotect(PageProtRequest(0, v, Perm.LOAD)),
+    "store_cap-value": lambda v: TaggedMemory(PAGE).store_cap(_root(), 0, v),
+    "bitmap-set": lambda v: MarkBitmap(128, WordModel.EXACT64).set(v),
+    "bitmap-test": lambda v: MarkBitmap(128, WordModel.PADDED_CAP).test(v),
+    "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),
+    "seed-RunSpec": lambda v: RunSpec(seed=v),
+    "seed-MiniVm": lambda v: MiniVm(seed=v),
+    "S4-mark": lambda v: run_scenario("S4", "fixed", payload=[v]),
+    # the record's parser: run_scenario reads a None payload as no payload
+    "S8-address": CATALOGUE["S8"].parse,
+}
+
+
+EVERY_NUMERIC_ENTRY_POINT = pytest.mark.parametrize(
+    "call", NUMERIC_ENTRY_POINTS.values(), ids=NUMERIC_ENTRY_POINTS)
+
+
+@EVERY_NUMERIC_ENTRY_POINT
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_a_number_that_is_not_an_int_raises_value_error(call, value):
+    with pytest.raises(ValueError, match="must be an int|stores a Capability"):
+        call(value)
+
+
+@EVERY_NUMERIC_ENTRY_POINT
+@pytest.mark.parametrize("value", HOSTILE_INTS, ids=repr)
+def test_a_hostile_int_raises_only_a_defined_error(call, value):
+    try:
+        call(value)
+    except (ValueError, CapFault, AllocError):
+        pass

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no module constant spelled twice, one random generator
-constructor.  A helper whose last caller goes must go with it; a constant
-has one module that defines it; a VM's randomness comes from `MiniVm.rng`."""
+constructor, one int rule.  A helper whose last caller goes must go with
+it; a constant has one module that defines it; a VM's randomness comes
+from `MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -113,3 +114,25 @@ def test_each_vm_has_one_source_of_randomness():
     calls = [f"{module}:{where}" for module, tree in sorted(TREES.items())
              for where in _random_generator_calls(tree)]
     assert calls == ["vm.py:MiniVm.rng"]
+
+
+def _bool_tests(tree, scope=()):
+    """The enclosing qualified name of each `isinstance(..., bool)` call in
+    `tree`, `bool` alone or in a tuple of types."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            types = node.args[1]
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(getattr(name, "id", None) == "bool" for name in names):
+                yield ".".join(scope)
+        yield from _bool_tests(node, inner)
+
+
+def test_the_int_rule_is_spelled_once():
+    tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
+             for where in _bool_tests(tree)]
+    assert tests == ["capability.py:check_int"]
