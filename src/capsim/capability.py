@@ -11,8 +11,9 @@ int, not a `bool`, in the caller's range, else `ValueError`.
 from __future__ import annotations
 
 import enum
+import operator
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -94,6 +95,24 @@ class WordModel(enum.Enum):
         self.storage_bits = storage_bytes * 8
 
 
+def _slot_init(cls):
+    """Class decorator for a frozen, slotted dataclass: its `__init__`
+    stores each field through the field's slot descriptor, which costs
+    about half of the `object.__setattr__` call per field that a frozen
+    dataclass generates.  The parameters and their plain defaults are the
+    dataclass's own; everything else stays the dataclass's."""
+    names = [f.name for f in fields(cls)]
+    scope = {f"store_{name}": getattr(cls, name).__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):"
+         + "".join(f"\n    store_{name}(self, {name})" for name in names), scope)
+    init = scope["__init__"]
+    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Capability:
     """Tagged fat value: address, bounds [base, top), perms, seal, tag.
@@ -143,29 +162,6 @@ class Capability:
         return None
 
 
-def _slot_init():
-    """Capability.__init__: one slot-descriptor store per field, which
-    costs about half of the six `object.__setattr__` calls a frozen
-    dataclass generates."""
-    store_tag, store_address, store_base, store_top, store_perms, store_seal = (
-        getattr(Capability, f.name).__set__ for f in fields(Capability))
-
-    def __init__(self, tag: bool, address: int, base: int, top: int, perms: Perm,
-                 seal: SealState = SealState.UNSEALED) -> None:
-        store_tag(self, tag)
-        store_address(self, address)
-        store_base(self, base)
-        store_top(self, top)
-        store_perms(self, perms)
-        store_seal(self, seal)
-
-    __init__.__qualname__ = "Capability.__init__"
-    return __init__
-
-
-Capability.__init__ = _slot_init()
-
-
 # A capability used in integer context (pointer-sized integer) is the
 # same value; the alias marks intent at call sites.
 CapInt = Capability
@@ -174,8 +170,9 @@ CapInt = Capability
 def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """The one rule for a number entering the model: return `value` if it
     is an int, not a `bool`, in [lo, hi) (a `None` bound is open), and
-    raise `ValueError` naming `what` otherwise.  Nothing is coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    raise `ValueError` naming `what` otherwise.  Nothing is coerced.  An
+    exact `int` skips the two `isinstance` tests."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{what} must be an int, not {value!r}")
     if (lo is not None and value < lo) or (hi is not None and value >= hi):
         span = "non-negative" if (lo, hi) == (0, None) else f"in [{lo}, {hi})"
@@ -212,7 +209,11 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     A non-monotonic request (bounds outside the source's, or a negative
     length) or an untagged input yields the requested capability with
     the tag cleared.  Sealed tagged input follows the seal-semantics mode.
+    A base or length that is not an int, or is a `bool`, raises
+    `ValueError` (`check_int`); any int is a request.
     """
+    check_int(new_base, "bounds base")
+    check_int(new_length, "bounds length")
     new_top = new_base + new_length
     if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(mode, "set_bounds")
@@ -233,9 +234,10 @@ def restrict_perms(cap: Capability, perms: Perm,
 
 def set_address(cap: Capability, addr: int,
                 mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
-    """Move the address.  Out-of-bounds addresses keep the tag; bounds are
-    enforced only at access time."""
-    addr &= MASK64
+    """Move the address, taken modulo 2**64.  Out-of-bounds addresses keep
+    the tag; bounds are enforced only at access time.  An address that is
+    not an int, or is a `bool`, raises `ValueError` (`check_int`)."""
+    addr = check_int(addr, "address") & MASK64
     tag = cap.tag
     if tag and cap.seal is not _UNSEALED:
         tag = _sealed_modify(mode, "set_address")
@@ -281,11 +283,11 @@ def check_access(cap: Capability, kind: Perm, size: int,
 
 
 _BINOPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
     "shl": lambda a, b: a << b if b < VALUE_WIDTH else 0,
     "shr": lambda a, b: a >> b if b < VALUE_WIDTH else 0,
 }
@@ -314,11 +316,12 @@ def capint_binop(lhs, rhs, op: str,
     if lcap and rcap and advisories is not None:
         advisories.append("ambiguous-provenance")
 
-    if op not in _BINOPS:
+    fn = _BINOPS.get(op)
+    if fn is None:
         raise ValueError(f"unknown operation {op!r}")
     a = lhs.address if lcap else int(check_int(lhs, "a non-capability operand")) & MASK64
     b = rhs.address if rcap else int(check_int(rhs, "a non-capability operand")) & MASK64
-    value = _BINOPS[op](a, b) & MASK64
+    value = fn(a, b) & MASK64
 
     tag = source.tag
     if tag and source.seal is not _UNSEALED:

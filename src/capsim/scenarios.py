@@ -37,6 +37,7 @@ from .capability import (
     Perm,
     SealMode,
     WordModel,
+    _slot_init,
     capint_to_int64,
     check_int,
     int64_to_capint,
@@ -83,8 +84,10 @@ class ScenarioConfig:
             raise ValueError(f"opt level must be one of {OPT_LEVELS}, not {self.opt_level!r}")
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ScenarioOutcome:
+    """What one cell did; `expected` and `actual` are a corrupt result's."""
     scenario: str
     mode: str
     seal_mode: Optional[str]

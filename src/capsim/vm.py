@@ -23,7 +23,6 @@ from .capability import (
     SealState,
     WordModel,
     capint_binop,
-    capint_to_int64,
     check_int,
     int64_to_capint,
     make_root,
@@ -42,7 +41,9 @@ HEAP_PAGE_BYTES = PAGE
 SHAPE_ID_NUM_BITS = 16
 
 NONASCII_MASK = 0x8080808080808080
+_UTF8_CONTINUATION = bytes(range(0x80, 0xC0))  # every byte whose top bits are 10
 _HASH_SHIFTS = (11, 3)  # the dispatch hash's two shift distances
+_ONE = int64_to_capint(1)  # MarkBitmap.set shifts it to each bit's mask
 
 # memory layout of one VM instance
 MEM_SIZE = 0x10000
@@ -97,7 +98,7 @@ class MarkBitmap:
 
     def set(self, i: int) -> None:
         index, offset = self._locate(i)
-        mask = capint_binop(int64_to_capint(1), offset, "shl")
+        mask = capint_binop(_ONE, offset, "shl")
         self.words[index] = (self.words[index] | mask.address) & MASK64
 
     def test(self, i: int) -> bool:
@@ -143,8 +144,9 @@ def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:
 
 
 def utf8_lead_oracle(buf: bytes) -> int:
-    """Independent per-byte count: a lead byte has top bits != 10."""
-    return sum(1 for b in buf if (b >> 6) != 0b10)
+    """Independent per-byte count: a lead byte has top bits != 10, so
+    deleting every continuation byte leaves exactly the lead bytes."""
+    return len(bytes(buf).translate(None, _UTF8_CONTINUATION))
 
 
 def pad_utf8(buf: bytes, stride: int) -> bytes:
@@ -229,9 +231,7 @@ class MiniVm:
 
     # -- stack ---------------------------------------------------------
 
-    @property
-    def stack_bottom(self) -> int:
-        return STACK_BASE + STACK_SIZE
+    stack_bottom = STACK_BASE + STACK_SIZE
 
     def lay_out_stack(self, entries) -> int:
         """Place `entries` in consecutive slots from the stack top.
@@ -283,7 +283,7 @@ class MiniVm:
         if variant == "buggy" and opt_level == "O0":
             tmp = self.binop(v, IMMEDIATE_MASK, "and")
             return tmp.address != 0
-        return (capint_to_int64(v) & IMMEDIATE_MASK) != 0
+        return (v.address & IMMEDIATE_MASK) != 0
 
     def looks_like_object(self, addr: int) -> bool:
         """Bit-pattern heuristic: inside the heap page and object-aligned."""
@@ -301,8 +301,8 @@ class MiniVm:
         raises `ValueError`.
         """
         _check_variant(variant)
-        if self.vm_immediate_p(v, "fixed"):
-            return False
+        if v.address & IMMEDIATE_MASK:
+            return False  # an immediate, as vm_immediate_p(v, "fixed") says
         if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):
             return False
         if not self.looks_like_object(v.address):

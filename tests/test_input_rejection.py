@@ -4,6 +4,7 @@ import pytest
 from capsim.allocator import AllocError, CapAllocator
 from capsim.capability import (
     CapFault, FaultKind, Perm, WordModel, capint_binop, int64_to_capint, make_root,
+    set_address, set_bounds,
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
@@ -69,9 +70,9 @@ def test_gc_mark_skips_a_capability_outside_the_heap_page(variant):
 # `TypeError` stays:
 # - for `capint_binop` with no capability operand: no metadata to inherit,
 #   so the call is a misuse of the type, not a bad number;
-# - for a float address or size in `load_bytes`, `store_bytes` and
-#   `set_address`: these are the per-access hot path, and a check there
-#   waits for its own measurement on the heap_churn workload.
+# - for a float per-access address or size in `load_bytes` and
+#   `store_bytes`: these sit on the heap_churn workload's median path, and
+#   a check there waits for its own measurement on that workload.
 NOT_INTS = [True, 16.0, 2.5, "16", b"\x10", None]
 HOSTILE_INTS = [-1, 2**64, 2**70]
 
@@ -86,6 +87,9 @@ NUMERIC_ENTRY_POINTS = {
     "make_root-length": lambda v: make_root(0, v, Perm.LOAD),
     "capint_binop-lhs": lambda v: capint_binop(v, _root(), "add"),
     "capint_binop-rhs": lambda v: capint_binop(_root(), v, "shl"),
+    "set_bounds-base": lambda v: set_bounds(_root(), v, 16),
+    "set_bounds-length": lambda v: set_bounds(_root(), 16, v),
+    "set_address": lambda v: set_address(_root(), v),
     "malloc": lambda v: CapAllocator(TaggedMemory(PAGE), _root()).malloc(v),
     "realloc": _realloc,
     "memory-size": TaggedMemory,

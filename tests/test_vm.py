@@ -164,6 +164,18 @@ class TestUtf8Count:
         raw = "héllo".encode()
         assert utf8_lead_oracle(pad_utf8(raw, 16)) == utf8_lead_oracle(raw)
 
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
+    def test_oracle_is_the_per_byte_rule_on_every_byte(self, wrap):
+        for b in range(256):
+            assert utf8_lead_oracle(wrap(bytes([b]))) == ((b >> 6) != 0b10)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
+    def test_oracle_is_the_per_byte_rule_on_random_buffers(self, wrap):
+        rng = random.Random(15)
+        for _ in range(300):
+            buf = rng.randbytes(rng.randrange(0, 300))
+            assert utf8_lead_oracle(wrap(buf)) == sum((b >> 6) != 0b10 for b in buf)
+
 
 class TestInsnHash:
     def test_spot_value(self):
