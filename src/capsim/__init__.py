@@ -27,7 +27,6 @@ from .capability import (
 from .memory import GRANULE, PAGE, PageProtRequest, TaggedMemory
 from .scenarios import (
     CATALOGUE,
-    SCENARIO_IDS,
     OutcomeKind,
     ScenarioConfig,
     ScenarioOutcome,

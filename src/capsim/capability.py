@@ -197,9 +197,11 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
 def _sealed_modify(mode: SealMode, what: str) -> bool:
     """The tag of a value derived from a tagged sealed capability: a seal
     fault under FAULT_ON_MODIFY, a cleared tag under INVALIDATE_ON_MODIFY."""
-    if mode is SealMode.FAULT_ON_MODIFY:
-        raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
-    return False
+    if mode is SealMode.INVALIDATE_ON_MODIFY:
+        return False
+    if mode is not SealMode.FAULT_ON_MODIFY:
+        raise ValueError(f"seal mode must be a SealMode, not {mode!r}")
+    raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
 
 
 def set_bounds(cap: Capability, new_base: int, new_length: int,

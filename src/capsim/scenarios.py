@@ -6,14 +6,16 @@ agreed), Fault (an architectural fault fired), or Corrupt (the buggy
 idiom silently produced a wrong value, reported as expected vs actual).
 
 A scenario is one runner function registered with the `@scenario`
-decorator, which records its catalogue text and the outcome its buggy
-variant must produce in each configuration; whether the seal-mode and
+decorator, which records the runner, its catalogue text and the outcome
+its buggy variant must produce in each configuration as an
+`(OutcomeKind, FaultKind | None)` pair; whether the seal-mode and
 opt-level dimensions apply follows from that outcome. `CATALOGUE`, the
 dict from id to `Scenario` record in registration order, is the only
 registry: the harness, the CLI and `expected_outcome` derive everything
-from it. A runner takes `(vm, mode, cfg)`, where `vm` is a fresh
-`MiniVm` per run, and returns `(kind, fault, expected, actual, detail)`;
-`run_scenario` adds the id, the mode and the applicable configuration.
+from it. A runner takes `(vm, mode, cfg)`, where `vm` is the fresh
+`MiniVm` that `run_scenario` builds per run, and returns
+`(kind, fault, expected, actual, detail)`; `run_scenario` adds the id,
+the mode and the applicable configuration.
 A record takes a caller's payload exactly when it has a `parse`
 function, which turns the payload into the runner's one extra input or
 raises `ValueError`; its runner gives that input a default. Each call of
@@ -103,8 +105,9 @@ class ScenarioOutcome:
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
     its buggy variant must produce in `cfg` on the default input:
-    ("ok",), ("fault", FaultKind) or ("corrupt",); the fixed variant is
-    always Ok. A record takes a payload only when it has `parse(payload)`,
+    `(OK, None)`, `(CORRUPT, None)` or `(FAULT, FaultKind)`, checked on
+    creation; the fixed variant is always Ok. `runner` is the registered
+    function. A record takes a payload only when it has `parse(payload)`,
     which returns the runner's input; `manifests(input)` says whether the
     bug shows on that input at all; where it does not, the buggy variant
     is Ok too. A dimension applies (`seal_sensitive`, `opt_sensitive`)
@@ -116,7 +119,7 @@ class Scenario:
     category: str
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
-    run: Callable[..., tuple]
+    runner: Callable[..., tuple]
     parse: Optional[Callable[[object], object]] = None
     manifests: Optional[Callable[[object], bool]] = None
     seal_sensitive: bool = field(init=False)
@@ -125,33 +128,31 @@ class Scenario:
     def __post_init__(self):
         # one row per opt level, one column per seal mode
         grid = [[self.buggy(ScenarioConfig(s, o)) for s in SealMode] for o in OPT_LEVELS]
+        if bad := [e for row in grid for e in row if e not in _EXPECTATIONS]:
+            raise ValueError(f"{self.sid}: buggy returned {bad[0]!r}, not an outcome pair")
         object.__setattr__(self, "seal_sensitive", any(len(set(row)) > 1 for row in grid))
         object.__setattr__(self, "opt_sensitive", any(len(set(col)) > 1 for col in zip(*grid)))
 
 
 CATALOGUE: dict[str, Scenario] = {}
-# A live view of the registered ids in order: it supports iteration,
-# `in`, `len` and `set()`, but not indexing (use `list(SCENARIO_IDS)`).
-SCENARIO_IDS = CATALOGUE.keys()
 
 
 def scenario(sid, name, title, category, buggy_expectation, *, buggy,
              parse=None, manifests=None):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
-        def run(mode, cfg, *given):
-            return runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, *given)
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
-                                  buggy, run, parse, manifests)
+                                  buggy, runner, parse, manifests)
         return runner
     return register
 
 
-_OK = ("ok",)
-_CORRUPT = ("corrupt",)
-_BOUNDS = ("fault", FaultKind.BOUNDS)
-_TAG = ("fault", FaultKind.TAG)
-_SEAL = ("fault", FaultKind.SEAL)
+_OK = (OutcomeKind.OK, None)
+_CORRUPT = (OutcomeKind.CORRUPT, None)
+_BOUNDS = (OutcomeKind.FAULT, FaultKind.BOUNDS)
+_TAG = (OutcomeKind.FAULT, FaultKind.TAG)
+_SEAL = (OutcomeKind.FAULT, FaultKind.SEAL)
+_EXPECTATIONS = (_OK, _CORRUPT, *((OutcomeKind.FAULT, kind) for kind in FaultKind))
 _WORD_MODEL = {"buggy": WordModel.PADDED_CAP, "fixed": WordModel.EXACT64}
 
 
@@ -514,17 +515,18 @@ def run_scenario(sid: str, mode: str,
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode._value_ if record.seal_sensitive else None,
                            cfg.opt_level if record.opt_sensitive else None,
-                           *record.run(mode, cfg, *given))
+                           *record.runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, *given))
 
 
 def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig | None, payload=None) -> tuple:
     """The catalogued expectation for one (scenario, mode, config) cell,
     run on `payload` (`None` for the scenario's default input).
 
-    Returns ("ok",), ("fault", FaultKind) or ("corrupt",). The payload is
-    parsed as `run_scenario` parses it, so a payload the scenario rejects,
-    or any payload for a scenario that takes none, raises `ValueError`
-    here too, as does a `cfg` that is not a `ScenarioConfig` or `None`.
+    Returns `(OutcomeKind.OK, None)`, `(OutcomeKind.CORRUPT, None)` or
+    `(OutcomeKind.FAULT, FaultKind)`. The payload is parsed as
+    `run_scenario` parses it, so a payload the scenario rejects, or any
+    payload for a scenario that takes none, raises `ValueError` here too,
+    as does a `cfg` that is not a `ScenarioConfig` or `None`.
     """
     record, cfg, given = _lookup(sid, mode, cfg, payload)
     shows = not given or record.manifests is None or record.manifests(*given)
@@ -532,8 +534,5 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig | None, payload=No
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:
-    if expectation[0] == "ok":
-        return outcome.kind is OutcomeKind.OK
-    if expectation[0] == "fault":
-        return outcome.kind is OutcomeKind.FAULT and outcome.fault is expectation[1]
-    return outcome.kind is OutcomeKind.CORRUPT
+    """Whether a cell's kind and fault are the `expected_outcome` pair."""
+    return (outcome.kind, outcome.fault) == expectation

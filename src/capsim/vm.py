@@ -29,12 +29,12 @@ from .capability import (
     seal_entry,
     set_address,
 )
-from .memory import PAGE, TaggedMemory
+from .memory import GRANULE, PAGE, TaggedMemory
 
 IMMEDIATE_MASK = 0x7
 
 OBJECT_SLOT = 32        # bytes per heap object
-STACK_SLOT = 16         # bytes per stack slot
+STACK_SLOT = GRANULE    # bytes per stack slot: one capability
 STACK_SLOTS = 64
 HEAP_PAGE_BYTES = PAGE
 

@@ -24,7 +24,7 @@ from capsim.capability import (
 )
 from capsim.memory import PAGE, TaggedMemory
 from capsim.scenarios import (
-    SCENARIO_IDS,
+    CATALOGUE,
     OutcomeKind,
     ScenarioConfig,
     expected_outcome,
@@ -53,7 +53,7 @@ def test_pitfall_matrix():
     matches the catalogued fault/corruption; full matrix under 10 s."""
     start = time.monotonic()
     cells = 0
-    for sid in SCENARIO_IDS:
+    for sid in CATALOGUE:
         seals = list(SealMode) if sid in ("S7", "S8", "S9") else [SealMode.FAULT_ON_MODIFY]
         opts = ["O0", "O1"] if sid == "S9" else ["O0"]
         for mode in ("buggy", "fixed"):

@@ -9,7 +9,7 @@ from capsim import cli
 from capsim.capability import CapFault, FaultKind, SealMode
 from capsim.cli import EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from capsim.harness import RunSpec, run_matrix
-from capsim.scenarios import CATALOGUE, SCENARIO_IDS, OutcomeKind, Scenario, scenario
+from capsim.scenarios import CATALOGUE, OutcomeKind, Scenario, scenario
 from capsim.vm import CODE_BASE
 
 
@@ -265,13 +265,13 @@ OK = (OutcomeKind.OK, None, None, None, "throwaway ok")
 def _register_s13(monkeypatch, buggy_result):
     """Register S13, whose record expects a tag fault from its buggy
     variant and whose runner reports `buggy_result` (or raises it)."""
-    def run(mode, cfg):
+    def run(vm, mode, cfg):
         if isinstance(buggy_result, Exception) and mode == "buggy":
             raise buggy_result
         return buggy_result if mode == "buggy" else OK
     monkeypatch.setitem(CATALOGUE, "S13", Scenario(
         "S13", "throwaway", "a scenario registered by a test", "test", "TagFault",
-        buggy=lambda cfg: ("fault", FaultKind.TAG), run=run))
+        buggy=lambda cfg: (OutcomeKind.FAULT, FaultKind.TAG), runner=run))
 
 
 def test_a_registered_scenario_appears_everywhere(monkeypatch, capsys):
@@ -286,7 +286,7 @@ def test_a_registered_scenario_appears_everywhere(monkeypatch, capsys):
         assert [r["scenario"] for r in report["records"][-2:]] == ["S13", "S13"]
         assert report["summary"] == {"total": 36, "passed": 36, "failed": 0}
     assert list(CATALOGUE.items()) == before
-    assert "S13" not in SCENARIO_IDS and len(SCENARIO_IDS) == 12
+    assert "S13" not in CATALOGUE and len(CATALOGUE) == 12
 
 
 def test_a_registered_scenario_runs_in_the_dimensions_its_expectation_varies_in(
@@ -297,7 +297,7 @@ def test_a_registered_scenario_runs_in_the_dimensions_its_expectation_varies_in(
 
     def buggy(cfg):
         faults = (cfg.seal_mode, cfg.opt_level) == (SealMode.FAULT_ON_MODIFY, "O1")
-        return ("fault", FaultKind.SEAL) if faults else ("ok",)
+        return (OutcomeKind.FAULT, FaultKind.SEAL) if faults else (OutcomeKind.OK, None)
 
     @scenario("S13", "seal_at_o1", "a sealed temporary at O1 only", "test",
               "SealFault (O1 + fault mode) / Ok otherwise", buggy=buggy)

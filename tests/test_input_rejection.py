@@ -4,7 +4,7 @@ import pytest
 from capsim.allocator import AllocError, CapAllocator
 from capsim.capability import (
     CapFault, FaultKind, Perm, WordModel, capint_binop, int64_to_capint, make_root,
-    set_address, set_bounds,
+    seal_entry, set_address, set_bounds,
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
@@ -14,6 +14,14 @@ from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes
 
 def _root():
     return make_root(0, PAGE, Perm.LOAD | Perm.STORE)
+
+
+def _sealed():
+    return seal_entry(make_root(0x1000, 0x100, Perm.LOAD | Perm.EXECUTE))
+
+
+def _binop_on_a_return_address(vm):
+    return vm.binop(vm.return_address(0x1100), 1, "add")
 
 
 REJECTIONS = {
@@ -46,6 +54,12 @@ REJECTIONS = {
         MiniVm().return_address(0x1100), "bugy", "O0")),
     "immediate-opt-level": (ValueError, lambda: MiniVm().vm_immediate_p(
         MiniVm().return_address(0x1100), "buggy", "O2")),
+    # a sealed capability meets a seal mode that is not a SealMode
+    "sealed-set_address-mode": (ValueError, lambda: set_address(_sealed(), 0x1010, "fault")),
+    "sealed-set_bounds-mode": (ValueError, lambda: set_bounds(_sealed(), 0x1000, 16, None)),
+    "sealed-binop-mode": (ValueError, lambda: capint_binop(_sealed(), 1, "add", 42)),
+    "sealed-vm-binop-mode": (ValueError, lambda: _binop_on_a_return_address(
+        MiniVm(seal_mode="fault"))),
 }
 
 

@@ -9,15 +9,16 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from capsim.capability import FaultKind, SealMode
 from capsim.harness import RunSpec, _configs_for
 from capsim.vm import MiniVm
+from capsim import scenarios
 from capsim.scenarios import (
     CATALOGUE,
     MODES,
-    SCENARIO_IDS,
     OutcomeKind,
     ScenarioConfig,
     expected_outcome,
     outcome_matches,
     run_scenario,
+    scenario,
 )
 
 FAULT = ScenarioConfig(seal_mode=SealMode.FAULT_ON_MODIFY)
@@ -96,7 +97,7 @@ def test_each_run_builds_one_vm_from_its_config(monkeypatch):
         init(self, seal_mode, seed)
     monkeypatch.setattr(MiniVm, "__init__", recording_init)
     cfg = ScenarioConfig(seal_mode=SealMode.INVALIDATE_ON_MODIFY, seed=7)
-    for sid in SCENARIO_IDS:
+    for sid in CATALOGUE:
         for mode in ("buggy", "fixed"):
             built.clear()
             run_scenario(sid, mode, cfg)
@@ -197,7 +198,7 @@ def test_a_payload_is_parsed_once_per_call(monkeypatch):
         record, parse=counting, manifests=manifests))
     assert run_scenario("S4", "buggy", None, [70, 3]).kind is OutcomeKind.CORRUPT
     assert parsed == [[70, 3]] and manifested == []
-    assert expected_outcome("S4", "buggy", None, (70, 3)) == ("corrupt",)
+    assert expected_outcome("S4", "buggy", None, (70, 3)) == (OutcomeKind.CORRUPT, None)
     assert parsed == [[70, 3], (70, 3)] and manifested == [{3, 70}]
 
 
@@ -212,7 +213,7 @@ def test_a_config_that_is_not_a_scenario_config_raises_value_error(config):
 
 def test_no_config_means_the_default_config():
     assert run_scenario("S7", "buggy", None) == run_scenario("S7", "buggy", ScenarioConfig())
-    assert expected_outcome("S7", "buggy", None) == ("fault", FaultKind.SEAL)
+    assert expected_outcome("S7", "buggy", None) == (OutcomeKind.FAULT, FaultKind.SEAL)
 
 
 def test_s6_buggy_undercounts():
@@ -244,12 +245,12 @@ def test_s8_invalidate_mode_hash_matches_fixed():
 
 def test_s9_matrix():
     cases = {
-        ("buggy", "O0", SealMode.FAULT_ON_MODIFY): ("fault", FaultKind.SEAL),
-        ("buggy", "O0", SealMode.INVALIDATE_ON_MODIFY): ("ok",),
-        ("buggy", "O1", SealMode.FAULT_ON_MODIFY): ("ok",),
-        ("buggy", "O1", SealMode.INVALIDATE_ON_MODIFY): ("ok",),
-        ("fixed", "O0", SealMode.FAULT_ON_MODIFY): ("ok",),
-        ("fixed", "O1", SealMode.INVALIDATE_ON_MODIFY): ("ok",),
+        ("buggy", "O0", SealMode.FAULT_ON_MODIFY): (OutcomeKind.FAULT, FaultKind.SEAL),
+        ("buggy", "O0", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
+        ("buggy", "O1", SealMode.FAULT_ON_MODIFY): (OutcomeKind.OK, None),
+        ("buggy", "O1", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
+        ("fixed", "O0", SealMode.FAULT_ON_MODIFY): (OutcomeKind.OK, None),
+        ("fixed", "O1", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
     }
     for (mode, opt, seal), expect in cases.items():
         out = run_scenario("S9", mode, ScenarioConfig(seal_mode=seal, opt_level=opt))
@@ -275,7 +276,7 @@ def test_s12_truncating_copy():
 
 
 def test_all_fixed_runs_ok_every_config():
-    for sid in SCENARIO_IDS:
+    for sid in CATALOGUE:
         for seal in SealMode:
             for opt in ("O0", "O1"):
                 cfg = ScenarioConfig(seal_mode=seal, opt_level=opt)
@@ -284,7 +285,7 @@ def test_all_fixed_runs_ok_every_config():
 
 
 def test_determinism():
-    for sid in SCENARIO_IDS:
+    for sid in CATALOGUE:
         for mode in ("buggy", "fixed"):
             cfg = ScenarioConfig(seal_mode=SealMode.FAULT_ON_MODIFY, seed=99)
             assert run_scenario(sid, mode, cfg) == run_scenario(sid, mode, cfg)
@@ -345,36 +346,53 @@ def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
 
 
 def test_catalogue_complete():
-    assert set(CATALOGUE) == set(SCENARIO_IDS)
-    for sid in SCENARIO_IDS:
+    for sid in CATALOGUE:
         for mode in ("buggy", "fixed"):
             expected_outcome(sid, mode, ScenarioConfig())
 
 
-def test_scenario_ids_is_a_live_view_of_the_registry():
-    assert list(SCENARIO_IDS) == [f"S{i}" for i in range(1, 13)] == list(CATALOGUE)
-    assert "S7" in SCENARIO_IDS and "S13" not in SCENARIO_IDS
-    assert len(SCENARIO_IDS) == 12 and set(SCENARIO_IDS) == set(CATALOGUE)
-    with pytest.raises(TypeError):
-        SCENARIO_IDS[0]
+def test_the_catalogue_holds_the_twelve_scenarios_in_registration_order():
+    assert list(CATALOGUE) == [f"S{i}" for i in range(1, 13)]
     assert all(sid == record.sid for sid, record in CATALOGUE.items())
+
+
+NOT_OUTCOME_PAIRS = {
+    "string-ok": ("ok",),
+    "string-fault": ("fault", FaultKind.TAG),
+    "string-corrupt": ("corrupt",),
+    "fault-without-kind": (OutcomeKind.FAULT, None),
+    "ok-with-kind": (OutcomeKind.OK, FaultKind.TAG),
+    "fault-kind-as-string": (OutcomeKind.FAULT, "tag"),
+    "list": [OutcomeKind.OK, None],
+}
+
+
+@pytest.mark.parametrize("expectation", NOT_OUTCOME_PAIRS.values(), ids=NOT_OUTCOME_PAIRS)
+def test_a_buggy_expectation_that_is_not_an_outcome_pair_fails_to_register(
+        monkeypatch, expectation):
+    monkeypatch.setattr(scenarios, "CATALOGUE", {})
+    register = scenario("S13", "stale", "an old-style expectation", "test", "Ok",
+                        buggy=lambda cfg: expectation)
+    with pytest.raises(ValueError, match="^S13: buggy returned"):
+        register(lambda vm, mode, cfg: None)
+    assert scenarios.CATALOGUE == {}
 
 
 def test_dimension_flags_follow_the_buggy_expectation():
     flags = {sid: (r.seal_sensitive, r.opt_sensitive) for sid, r in CATALOGUE.items()}
-    assert flags == {sid: (sid in ("S7", "S8", "S9"), sid == "S9") for sid in SCENARIO_IDS}
+    assert flags == {sid: (sid in ("S7", "S8", "S9"), sid == "S9") for sid in CATALOGUE}
 
 
 OUTCOME_NAMES = {
-    ("fault", FaultKind.BOUNDS): "BoundsFault",
-    ("fault", FaultKind.TAG): "TagFault",
-    ("fault", FaultKind.SEAL): "SealFault",
-    ("corrupt",): "Corrupt",
-    ("ok",): "Ok",
+    (OutcomeKind.FAULT, FaultKind.BOUNDS): "BoundsFault",
+    (OutcomeKind.FAULT, FaultKind.TAG): "TagFault",
+    (OutcomeKind.FAULT, FaultKind.SEAL): "SealFault",
+    (OutcomeKind.CORRUPT, None): "Corrupt",
+    (OutcomeKind.OK, None): "Ok",
 }
 
 
-@pytest.mark.parametrize("sid", list(SCENARIO_IDS))
+@pytest.mark.parametrize("sid", list(CATALOGUE))
 def test_buggy_expectation_text_names_the_buggy_outcomes(sid):
     record = CATALOGUE[sid]
     yielded = {OUTCOME_NAMES[record.buggy(cfg)] for cfg in _configs_for(record, RunSpec())}
@@ -386,4 +404,5 @@ def test_buggy_expectation_text_names_the_buggy_outcomes(sid):
 def test_readme_scenario_table_lists_the_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
-    assert re.findall(r"^\|\s*(S\d+)\s*\|", section, flags=re.M) == list(SCENARIO_IDS)
+    rows = re.findall(r"^\|\s*(S\d+)\s*\|[^|\n]*\|\s*(.*?)\s*\|$", section, flags=re.M)
+    assert rows == [(sid, r.buggy_expectation) for sid, r in CATALOGUE.items()]

@@ -1,8 +1,10 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no module constant spelled twice, one random generator
-constructor, one int rule.  A helper whose last caller goes must go with
-it; a constant has one module that defines it; a VM's randomness comes
-from `MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`."""
+constructor, one int rule, one outcome vocabulary.  A helper whose last
+caller goes must go with it; a constant has one module that defines it;
+a VM's randomness comes from `MiniVm.rng`; "an int, not a bool" is
+spelled only in `check_int`; an outcome is an `OutcomeKind`, never a
+string tag."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -136,3 +138,23 @@ def test_the_int_rule_is_spelled_once():
     tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
              for where in _bool_tests(tree)]
     assert tests == ["capability.py:check_int"]
+
+
+STRING_OUTCOME_TAGS = {"ok", "fault", "corrupt"}
+
+
+def _string_tagged_tuples(tree):
+    """The line of each tuple literal in `tree` whose first item is one of
+    the string outcome tags."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Tuple) and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and isinstance(node.elts[0].value, str)
+                and node.elts[0].value in STRING_OUTCOME_TAGS):
+            yield node.lineno
+
+
+def test_outcomes_are_spelled_with_outcome_kind():
+    tagged = [f"{module}:{line}" for module, tree in sorted(TREES.items())
+              for line in _string_tagged_tuples(tree)]
+    assert not tagged, f"use (OutcomeKind, FaultKind | None), not a string tag: {tagged}"
