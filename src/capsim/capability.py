@@ -6,7 +6,8 @@ and permissions can only shrink), sealing makes a capability immutable
 and non-dereferenceable, and arithmetic on capability-typed integers
 inherits metadata from the capability operand.  `check_int` is the one
 rule for a number entering the model, here and in the layers above: an
-int, not a `bool`, in the caller's range, else `ValueError`.
+int, not a `bool`, in the caller's range, else `ValueError`; for a value
+outside a fixed set (a tuple, tested with `in`) it is `not_one_of`.
 """
 from __future__ import annotations
 
@@ -95,6 +96,11 @@ class WordModel(enum.Enum):
         self.storage_bits = storage_bytes * 8
 
 
+# `"fault" in SealMode` depends on the Python version; `in` on a tuple does not
+SEAL_MODES = tuple(SealMode)
+WORD_MODELS = tuple(WordModel)
+
+
 def _slot_init(cls):
     """Class decorator for a frozen, slotted dataclass: its `__init__`
     stores each field through the field's slot descriptor, which costs
@@ -180,15 +186,22 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     return value
 
 
+def not_one_of(what: str, choices: tuple, value) -> ValueError:
+    """The error its caller raises when `value not in choices` holds."""
+    return ValueError(f"{what} must be one of {choices}, not {value!r}")
+
+
 def make_root(base: int, length: int, perms: Perm) -> Capability:
     """Construct a fresh tagged capability covering [base, base+length).
 
     This is the only source of authority; everything else derives from a
-    root monotonically.  `base` must be an int in [0, 2**64) and `length`
-    a non-negative int (see `check_int`), else `ValueError`.
+    root monotonically.  `base` must be an int in [0, 2**64), `length` a
+    non-negative int (`check_int`) and `perms` a `Perm`, else `ValueError`.
     """
     check_int(base, "root base", 0, 1 << 64)
     check_int(length, "root length", 0)
+    if not isinstance(perms, Perm):
+        raise ValueError(f"root perms must be a Perm, not {perms!r}")
     if base + length > 1 << 64:
         raise ValueError("bounds overflow the address space")
     return Capability(True, base, base, base + length, perms)
@@ -200,7 +213,7 @@ def _sealed_modify(mode: SealMode, what: str) -> bool:
     if mode is SealMode.INVALIDATE_ON_MODIFY:
         return False
     if mode is not SealMode.FAULT_ON_MODIFY:
-        raise ValueError(f"seal mode must be a SealMode, not {mode!r}")
+        raise not_one_of("seal mode", SEAL_MODES, mode)
     raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
 
 
@@ -226,7 +239,10 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
 
 def restrict_perms(cap: Capability, perms: Perm,
                    mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
-    """Drop permissions; widening (or untagged input) clears the tag."""
+    """Drop permissions; widening (or untagged input) clears the tag.
+    Perms that are not a `Perm` raise `ValueError`."""
+    if not isinstance(perms, Perm):
+        raise ValueError(f"perms must be a Perm, not {perms!r}")
     if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(mode, "restrict_perms")
     else:
@@ -306,7 +322,7 @@ def capint_binop(lhs, rhs, op: str,
     result modifies the address of the inherited capability, so a sealed
     source follows the seal-semantics mode.  A non-capability operand
     must pass `check_int` (an int, not a bool); anything else raises
-    `ValueError`.
+    `ValueError`, as does an `op` that is not one of the `_BINOPS` names.
 
     Shifts by 64 or more yield the deterministic sentinel value 0.
     """
@@ -318,9 +334,9 @@ def capint_binop(lhs, rhs, op: str,
     if lcap and rcap and advisories is not None:
         advisories.append("ambiguous-provenance")
 
-    fn = _BINOPS.get(op)
+    fn = _BINOPS.get(op) if isinstance(op, str) else None
     if fn is None:
-        raise ValueError(f"unknown operation {op!r}")
+        raise not_one_of("operation", tuple(_BINOPS), op)
     a = lhs.address if lcap else int(check_int(lhs, "a non-capability operand")) & MASK64
     b = rhs.address if rcap else int(check_int(rhs, "a non-capability operand")) & MASK64
     value = fn(a, b) & MASK64

@@ -7,8 +7,7 @@ import os
 import stat
 import sys
 
-from .harness import (_MODE_CHOICES, _OPT_CHOICES, _SEAL_CHOICES, RunSpec,
-                      format_json, format_text, run_matrix)
+from .harness import RUN_CHOICES, RunSpec, format_json, format_text, run_matrix
 from .scenarios import CATALOGUE
 
 EXIT_OK = 0
@@ -32,10 +31,9 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run scenarios and report pass/fail")
     run.add_argument("scenarios", nargs="+",
                      help="scenario ids (S1..S12) or 'all'")
-    run.add_argument("--mode", choices=_MODE_CHOICES, default=RunSpec.mode)
-    run.add_argument("--seal-semantics", choices=_SEAL_CHOICES,
-                     default=RunSpec.seal_semantics)
-    run.add_argument("--opt-level", choices=_OPT_CHOICES, default=RunSpec.opt_level)
+    for name, choices in RUN_CHOICES.items():  # --mode, --seal-semantics, --opt-level
+        run.add_argument("--" + name.replace("_", "-"), choices=choices,
+                         default=getattr(RunSpec, name))
     run.add_argument("--seed", type=int, default=RunSpec.seed)
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", default=None,
@@ -56,13 +54,8 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     ids = [sid for arg in args.scenarios for sid in (CATALOGUE if arg == "all" else [arg])]
     try:
-        spec = RunSpec(
-            scenarios=tuple(ids),
-            mode=args.mode,
-            seal_semantics=args.seal_semantics,
-            opt_level=args.opt_level,
-            seed=args.seed,
-        )
+        spec = RunSpec(scenarios=tuple(ids), seed=args.seed,
+                       **{name: getattr(args, name) for name in RUN_CHOICES})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

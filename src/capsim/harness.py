@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .capability import SealMode, check_int
+from .capability import SEAL_MODES, check_int, not_one_of
 from .scenarios import (
     CATALOGUE,
     MODES,
@@ -19,9 +19,12 @@ from .scenarios import (
     run_scenario,
 )
 
-_SEAL_CHOICES = {m.value: [m] for m in SealMode} | {"both": list(SealMode)}
-_OPT_CHOICES = {o: [o] for o in OPT_LEVELS} | {"both": list(OPT_LEVELS)}
-_MODE_CHOICES = {m: [m] for m in MODES} | {"both": list(MODES)}
+# per `RunSpec` field, each value a user may name -> the values it runs
+RUN_CHOICES = {
+    "mode": {m: (m,) for m in MODES} | {"both": MODES},
+    "seal_semantics": {m._value_: (m,) for m in SEAL_MODES} | {"both": SEAL_MODES},
+    "opt_level": {o: (o,) for o in OPT_LEVELS} | {"both": OPT_LEVELS},
+}
 
 
 @dataclass(frozen=True)
@@ -34,24 +37,23 @@ class RunSpec:
 
     def __post_init__(self):
         check_int(self.seed, "seed", 0)
-        unknown = [s for s in self.scenarios if s not in CATALOGUE]
-        if unknown:
-            raise ValueError(f"unknown scenario id(s): {', '.join(unknown)}")
-        if self.mode not in _MODE_CHOICES:
-            raise ValueError(f"bad mode {self.mode!r}")
-        if self.seal_semantics not in _SEAL_CHOICES:
-            raise ValueError(f"bad seal semantics {self.seal_semantics!r}")
-        if self.opt_level not in _OPT_CHOICES:
-            raise ValueError(f"bad optimization level {self.opt_level!r}")
+        if not isinstance(self.scenarios, tuple):  # a bare str would read as one id per character
+            raise ValueError(f"scenarios must be a tuple of ids, not {self.scenarios!r}")
+        ids = tuple(CATALOGUE)
+        checks = [("scenario id", sid, ids) for sid in self.scenarios]
+        checks += [(name, getattr(self, name), tuple(c)) for name, c in RUN_CHOICES.items()]
+        for what, value, choices in checks:
+            if value not in choices:
+                raise not_one_of(what, choices, value)
 
 
 def _configs_for(record: Scenario, spec: RunSpec):
     """The applicable config cells: the seal-mode and opt-level dimensions
     exist only for scenarios whose record says they apply; the others run
     with `ScenarioConfig`'s default seal mode and opt level."""
-    seals = _SEAL_CHOICES[spec.seal_semantics] if record.seal_sensitive \
+    seals = RUN_CHOICES["seal_semantics"][spec.seal_semantics] if record.seal_sensitive \
         else [ScenarioConfig.seal_mode]
-    opts = _OPT_CHOICES[spec.opt_level] if record.opt_sensitive \
+    opts = RUN_CHOICES["opt_level"][spec.opt_level] if record.opt_sensitive \
         else [ScenarioConfig.opt_level]
     for seal in seals:
         for opt in opts:
@@ -73,7 +75,7 @@ def run_matrix(spec: RunSpec) -> dict:
         dims = record.seal_sensitive, record.opt_sensitive
         if dims not in configs:
             configs[dims] = list(_configs_for(record, spec))
-        for mode in _MODE_CHOICES[spec.mode]:
+        for mode in RUN_CHOICES["mode"][spec.mode]:
             for cfg in configs[dims]:
                 outcome = run_scenario(sid, mode, cfg)
                 expectation = expected_outcome(sid, mode, cfg)

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 
 from .capability import (
     MASK64,
+    SEAL_MODES,
     VALUE_WIDTH,
     CapFault,
     FaultKind,
@@ -43,6 +44,7 @@ from .capability import (
     capint_to_int64,
     check_int,
     int64_to_capint,
+    not_one_of,
     set_address,
     set_bounds,
 )
@@ -80,10 +82,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_int(self.seed, "seed", 0)
-        if not isinstance(self.seal_mode, SealMode):
-            raise ValueError(f"seal mode must be a SealMode, not {self.seal_mode!r}")
+        if self.seal_mode not in SEAL_MODES:
+            raise not_one_of("seal mode", SEAL_MODES, self.seal_mode)
         if self.opt_level not in OPT_LEVELS:
-            raise ValueError(f"opt level must be one of {OPT_LEVELS}, not {self.opt_level!r}")
+            raise not_one_of("opt level", OPT_LEVELS, self.opt_level)
 
 
 @_slot_init
@@ -494,10 +496,10 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 def _lookup(sid: str, mode: str, config, payload) -> tuple[Scenario, ScenarioConfig, tuple]:
     """Check one call's arguments and return its record, its config (`None`
     means the default) and its parsed payload as a tuple, `()` if none."""
-    if sid not in CATALOGUE:
-        raise ValueError(f"unknown scenario id {sid!r}")
+    if not (isinstance(sid, str) and sid in CATALOGUE):
+        raise not_one_of("scenario id", tuple(CATALOGUE), sid)
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
+        raise not_one_of("mode", MODES, mode)
     cfg = ScenarioConfig() if config is None else config
     if not isinstance(cfg, ScenarioConfig):
         raise ValueError(f"config must be a ScenarioConfig or None, not {config!r}")

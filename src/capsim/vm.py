@@ -18,6 +18,8 @@ from .capability import (
     MASK64,
     CapInt,
     Capability,
+    SEAL_MODES,
+    WORD_MODELS,
     Perm,
     SealMode,
     SealState,
@@ -26,6 +28,7 @@ from .capability import (
     check_int,
     int64_to_capint,
     make_root,
+    not_one_of,
     seal_entry,
     set_address,
 )
@@ -57,15 +60,6 @@ MODES = ("buggy", "fixed")
 OPT_LEVELS = ("O0", "O1")
 
 
-def _check_variant(variant: str, opt_level: str = "O0") -> None:
-    """A runtime idiom runs as one of `MODES` at one of `OPT_LEVELS`;
-    anything else raises `ValueError`."""
-    if variant not in MODES:
-        raise ValueError(f"variant must be one of {MODES}, not {variant!r}")
-    if opt_level not in OPT_LEVELS:
-        raise ValueError(f"opt level must be one of {OPT_LEVELS}, not {opt_level!r}")
-
-
 @dataclass(frozen=True)
 class SymbolEntry:
     name: str
@@ -80,8 +74,8 @@ class MarkBitmap:
     Under the padded model the word stride is taken from the storage
     size (128 bits), so bit offsets of 64 and above fall into padding:
     the shift saturates to the sentinel 0 and the or-update is dropped.
-    Under the exact-width model every bit is addressable.  An index
-    that is not an int in [0, nbits) raises `ValueError` (`check_int`).
+    Under the exact-width model every bit is addressable.  A model not
+    in `WORD_MODELS` or an index not an int in [0, nbits) raises `ValueError`.
     """
 
     nbits: int
@@ -89,6 +83,8 @@ class MarkBitmap:
     words: list[int] = field(init=False)
 
     def __post_init__(self):
+        if self.model not in WORD_MODELS:
+            raise not_one_of("word model", WORD_MODELS, self.model)
         stride = self.model.storage_bits
         self.words = [0] * ((self.nbits + stride - 1) // stride)
 
@@ -128,10 +124,13 @@ def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:
     """Word-parallel count of UTF-8 lead bytes (bytes whose top two bits
     are not `10`).
 
-    The word loop strides by the storage size of the word type.  With
-    padded words only the low 8 data bytes of each 16-byte word
-    participate, so half of the input is silently skipped.
+    The word loop strides by the storage size of the word type.  With padded
+    words only the low 8 data bytes of each 16-byte word participate, so
+    half of the input is silently skipped.  A model not in `WORD_MODELS`,
+    or a partial last word, raises `ValueError`.
     """
+    if model not in WORD_MODELS:
+        raise not_one_of("word model", WORD_MODELS, model)
     stride = model.storage_bytes
     if len(buf) % stride != 0:
         raise ValueError(f"buffer length must be a multiple of {stride}")
@@ -187,7 +186,8 @@ class MiniVm:
     The code, stack and arena roots are class attributes built once; a
     Capability is an immutable value, so every instance shares them.
     `rng` is seeded from `seed` on the first draw, so an instance that
-    never draws builds no random generator."""
+    never draws builds no random generator.  A `seal_mode` not in
+    `SEAL_MODES`, or a seed not a non-negative int, raises `ValueError`."""
 
     code_cap = make_root(CODE_BASE, CODE_SIZE, Perm.LOAD | Perm.EXECUTE)
     stack_cap = make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.STORE)
@@ -196,6 +196,8 @@ class MiniVm:
     def __init__(self, seal_mode: SealMode = SealMode.FAULT_ON_MODIFY, seed: int = 0):
         # random.Random(-n) draws the stream of n, so a seed must be non-negative
         self.seed = check_int(seed, "seed", 0)
+        if seal_mode not in SEAL_MODES:
+            raise not_one_of("seal mode", SEAL_MODES, seal_mode)
         self.seal_mode = seal_mode
         self.advisories: list[str] = []
         self.mem = TaggedMemory(MEM_SIZE)
@@ -253,7 +255,7 @@ class MiniVm:
             elif kind in ("int", "imm"):
                 self.mem.store_bytes(self.stack_cap, addr, struct.pack("<Q", arg & MASK64))
             else:
-                raise ValueError(f"unknown stack entry kind {kind!r}")
+                raise not_one_of("stack entry kind", ("ref", "int", "ret", "imm"), kind)
         return top
 
     def stack_values(self, top: int,
@@ -279,7 +281,10 @@ class MiniVm:
         capability exists.  An unknown variant or opt level raises
         `ValueError`.
         """
-        _check_variant(variant, opt_level)
+        if variant not in MODES:
+            raise not_one_of("variant", MODES, variant)
+        if opt_level not in OPT_LEVELS:
+            raise not_one_of("opt level", OPT_LEVELS, opt_level)
         if variant == "buggy" and opt_level == "O0":
             tmp = self.binop(v, IMMEDIATE_MASK, "and")
             return tmp.address != 0
@@ -300,7 +305,8 @@ class MiniVm:
         dead objects reachable only through integers.  An unknown variant
         raises `ValueError`.
         """
-        _check_variant(variant)
+        if variant not in MODES:
+            raise not_one_of("variant", MODES, variant)
         if v.address & IMMEDIATE_MASK:
             return False  # an immediate, as vm_immediate_p(v, "fixed") says
         if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):

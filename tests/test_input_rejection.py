@@ -4,11 +4,11 @@ import pytest
 from capsim.allocator import AllocError, CapAllocator
 from capsim.capability import (
     CapFault, FaultKind, Perm, WordModel, capint_binop, int64_to_capint, make_root,
-    seal_entry, set_address, set_bounds,
+    restrict_perms, seal_entry, set_address, set_bounds,
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
-from capsim.scenarios import CATALOGUE, ScenarioConfig, run_scenario
+from capsim.scenarios import CATALOGUE, ScenarioConfig, expected_outcome, run_scenario
 from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes
 
 
@@ -30,6 +30,11 @@ REJECTIONS = {
     "root-base-past-2**64": (ValueError, lambda: make_root(2**64, 0, Perm.LOAD)),
     "root-float-base": (ValueError, lambda: make_root(0.5, 16, Perm.LOAD)),
     "root-bool-base": (ValueError, lambda: make_root(True, 16, Perm.LOAD)),
+    # a permission set is a Perm, never its spelling
+    "root-str-perms": (ValueError, lambda: make_root(0, 16, "rw")),
+    "restrict-str-perms": (ValueError, lambda: restrict_perms(_root(), "r")),
+    "mprotect-str-perms": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
+        PageProtRequest(0, PAGE, "rw"))),
     "bitmap-bool-index": (ValueError, lambda: MarkBitmap(128, WordModel.EXACT64).set(True)),
     "binop-mul": (ValueError, lambda: capint_binop(_root(), 2, "mul")),
     "runspec-mode": (ValueError, lambda: RunSpec(mode="bogus")),
@@ -69,6 +74,12 @@ def test_malformed_input_raises_its_defined_error(error, call):
         call()
     if error is CapFault:
         assert exc.value.kind is FaultKind.ALIGNMENT
+
+
+@pytest.mark.parametrize("ids", ["S1", "", ["S1"], 5, None], ids=repr)
+def test_run_spec_takes_its_scenario_ids_as_a_tuple(ids):
+    with pytest.raises(ValueError, match="must be a tuple of ids"):
+        RunSpec(scenarios=ids)
 
 
 @pytest.mark.parametrize("variant", ["buggy", "fixed"])
@@ -139,3 +150,42 @@ def test_a_hostile_int_raises_only_a_defined_error(call, value):
         call(value)
     except (ValueError, CapFault, AllocError):
         pass
+
+
+# Every input that must be one of a fixed set meets the same hostile values
+# and raises the one choice error, `not_one_of`'s.  An enum-typed choice
+# also meets its member's own value, which is not the member.
+NOT_CHOICES = [[], {}, None, 0, b"fixed", "Fixed"]
+
+CHOICE_ENTRY_POINTS = {
+    "gc_mark-variant": (lambda v: MiniVm().gc_mark(MiniVm.stack_cap, v), ()),
+    "vm_immediate_p-variant": (lambda v: MiniVm().vm_immediate_p(int64_to_capint(1), v), ()),
+    "vm_immediate_p-opt-level": (
+        lambda v: MiniVm().vm_immediate_p(int64_to_capint(1), "buggy", v), ()),
+    "ScenarioConfig-seal-mode": (lambda v: ScenarioConfig(seal_mode=v), ("fault",)),
+    "ScenarioConfig-opt-level": (lambda v: ScenarioConfig(opt_level=v), ()),
+    "run_scenario-id": (lambda v: run_scenario(v, "buggy"), ()),
+    "run_scenario-mode": (lambda v: run_scenario("S1", v), ()),
+    "expected_outcome-id": (lambda v: expected_outcome(v, "buggy", None), ()),
+    "expected_outcome-mode": (lambda v: expected_outcome("S1", v, None), ()),
+    "sealed-modify-seal-mode": (lambda v: set_address(_sealed(), 0x1010, v), ("fault",)),
+    "capint_binop-op": (lambda v: capint_binop(_root(), 1, v), ()),
+    "stack-entry-kind": (lambda v: MiniVm().lay_out_stack([(v, 0)]), ()),
+    "MiniVm-seal-mode": (lambda v: MiniVm(seal_mode=v), ("fault",)),
+    "MarkBitmap-model": (lambda v: MarkBitmap(128, v), (16,)),
+    "count_utf8_lead_bytes-model": (lambda v: count_utf8_lead_bytes(b"x" * 16, v), (16,)),
+    "RunSpec-scenario-id": (lambda v: RunSpec(scenarios=(v,)), ()),
+    "RunSpec-mode": (lambda v: RunSpec(mode=v), ()),
+    "RunSpec-seal-semantics": (lambda v: RunSpec(seal_semantics=v), ()),
+    "RunSpec-opt-level": (lambda v: RunSpec(opt_level=v), ()),
+}
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{site}-{value!r}")
+    for site, (call, member_values) in CHOICE_ENTRY_POINTS.items()
+    for value in NOT_CHOICES + list(member_values)
+])
+def test_a_value_outside_its_fixed_set_raises_the_choice_error(call, value):
+    with pytest.raises(ValueError, match="must be one of"):
+        call(value)

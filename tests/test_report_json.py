@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from capsim.cli import EXIT_OK, main
-from capsim.harness import _MODE_CHOICES, _OPT_CHOICES, _SEAL_CHOICES, format_json
+from capsim.harness import RUN_CHOICES, format_json
 
 LEAVES = (st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
           | st.floats() | st.text())
@@ -65,7 +65,7 @@ def test_format_json_raises_type_error_on_what_it_does_not_render(value):
 
 @pytest.mark.parametrize("mode, seal, opt, seed", [
     pytest.param(mode, seal, opt, seed, id=f"{mode}-{seal}-{opt}-seed{seed}")
-    for mode, seal, opt in itertools.product(_MODE_CHOICES, _SEAL_CHOICES, _OPT_CHOICES)
+    for mode, seal, opt in itertools.product(*RUN_CHOICES.values())
     for seed in (0, 7)
 ])
 def test_run_all_json_is_the_indented_dump_of_its_report(mode, seal, opt, seed, capsys):

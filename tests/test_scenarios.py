@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from capsim.capability import FaultKind, SealMode
 from capsim.harness import RunSpec, _configs_for
-from capsim.vm import MiniVm
+from capsim.vm import CODE_BASE, HEAP_PAGE_BYTES, OBJECT_SLOT, MiniVm, SymbolEntry
 from capsim import scenarios
 from capsim.scenarios import (
     CATALOGUE,
@@ -229,6 +229,34 @@ def test_s7_seal_modes():
     assert out.kind is OutcomeKind.OK and "eval" in out.detail
     for cfg in (FAULT, INVALIDATE):
         assert run_scenario("S7", "fixed", cfg).kind is OutcomeKind.OK
+
+
+@pytest.mark.parametrize("sym", scenarios.SYMBOL_TABLE, ids=lambda sym: sym.name)
+def test_the_symbol_oracle_holds_a_symbol_from_its_start_to_its_last_byte(sym):
+    start = CODE_BASE + sym.st_value
+    end = start + sym.st_size
+    assert scenarios._find_symbol_oracle(start) == sym.name
+    assert scenarios._find_symbol_oracle(end - 1) == sym.name
+    assert scenarios._find_symbol_oracle(start - 1) != sym.name
+    assert scenarios._find_symbol_oracle(end) != sym.name
+
+
+@pytest.mark.parametrize("mode, cfg", [("fixed", FAULT), ("buggy", INVALIDATE)])
+def test_s7_a_symbol_ending_at_the_traced_address_does_not_hold_it(monkeypatch, mode, cfg):
+    # S7 traces CODE_BASE + 0x1A0, one past the end of "before"
+    monkeypatch.setattr(scenarios, "SYMBOL_TABLE",
+                        (SymbolEntry("before", 0x180, 0x20), SymbolEntry("at", 0x1A0, 0x10)))
+    out = run_scenario("S7", mode, cfg)
+    assert out.kind is OutcomeKind.OK and out.detail == "symbol at"
+
+
+def test_s4_marks_stop_below_the_bitmap_size():
+    nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
+    assert expected_outcome("S4", "buggy", None, [nbits - 1]) == (OutcomeKind.CORRUPT, None)
+    assert expected_outcome("S4", "fixed", None, [nbits - 1]) == (OutcomeKind.OK, None)
+    for mode in MODES:
+        with pytest.raises(ValueError, match="S4 needs marks"):
+            expected_outcome("S4", mode, None, [nbits])
 
 
 def test_s8_spot_hash():

@@ -1,10 +1,11 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no module constant spelled twice, one random generator
-constructor, one int rule, one outcome vocabulary.  A helper whose last
-caller goes must go with it; a constant has one module that defines it;
-a VM's randomness comes from `MiniVm.rng`; "an int, not a bool" is
-spelled only in `check_int`; an outcome is an `OutcomeKind`, never a
-string tag."""
+constructor, one int rule, one choice error, one outcome vocabulary.  A
+helper whose last caller goes must go with it; a constant has one module
+that defines it; a VM's randomness comes from `MiniVm.rng`; "an int, not
+a bool" is spelled only in `check_int`; the error for a value outside a
+fixed set is worded only in `not_one_of`; an outcome is an
+`OutcomeKind`, never a string tag."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -138,6 +139,31 @@ def test_the_int_rule_is_spelled_once():
     tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
              for where in _bool_tests(tree)]
     assert tests == ["capability.py:check_int"]
+
+
+# the choice error's wording and the old wordings it replaced: only `not_one_of` holds one
+CHOICE_ERROR_WORDINGS = ("must be one of", "must be a SealMode", "bad ", "unknown scenario",
+                         "unknown operation", "unknown stack entry")
+
+
+def _choice_error_wordings(tree, scope=()):
+    """(enclosing qualified name, line) of each string literal in `tree`,
+    f-string parts and docstrings included, that holds a choice-error
+    wording."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(wording in node.value for wording in CHOICE_ERROR_WORDINGS)):
+            yield ".".join(scope), node.lineno
+        yield from _choice_error_wordings(node, inner)
+
+
+def test_the_choice_error_is_worded_once():
+    worded = [f"{module}:{where}:{line}" for module, tree in sorted(TREES.items())
+              for where, line in _choice_error_wordings(tree)]
+    assert [w.rsplit(":", 1)[0] for w in worded] == ["capability.py:not_one_of"], worded
 
 
 STRING_OUTCOME_TAGS = {"ok", "fault", "corrupt"}
