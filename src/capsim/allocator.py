@@ -1,14 +1,17 @@
 """Heap allocator issuing tightly-bounded capabilities.
 
 Freed regions go into quarantine instead of back onto the free list;
-an explicit revocation sweep clears the tag of every stored capability
-whose bounds intersect a quarantined region, after which the regions
-become reusable.  realloc follows capability semantics: the returned
-capability is always a fresh derivation and the caller's old capability
-keeps its old bounds.  Only an object's own capability frees or resizes
-it: tagged, unsealed, with exactly its bounds and the arena's permissions
-(at any address), so neither bits that look like a pointer nor a narrowed
-or read-only view can release, resize or widen it.
+a revocation sweep clears the tag of every stored capability whose
+bounds intersect a quarantined region, after which the regions become
+reusable.  A sweep runs when `revoke` is called, and inside `malloc`
+when no free block fits and the quarantine is not empty: `malloc` then
+revokes once and retries, so a `malloc` may clear tags.  realloc
+follows capability semantics: the returned capability is always a fresh
+derivation and the caller's old capability keeps its old bounds.  Only
+an object's own capability frees or resizes it: tagged, unsealed, with
+exactly its bounds and the arena's permissions (at any address), so
+neither bits that look like a pointer nor a narrowed or read-only view
+can release, resize or widen it.
 
 The free list is a sorted list of disjoint, coalesced (base, length)
 regions.  malloc takes the lowest-addressed block that fits (first fit,
@@ -115,7 +118,13 @@ class CapAllocator:
         if check_int(n, "allocation size") < 1:
             raise AllocError("allocation size must be >= 1")
         size = _round_up(n)
-        base = self._take(size)
+        try:
+            base = self._take(size)
+        except OutOfMemory:
+            if not self.quarantine:
+                raise
+            self.revoke()
+            base = self._take(size)
         self.live[base] = size
         return set_bounds(self.arena, base, size)
 
@@ -172,7 +181,7 @@ class CapAllocator:
         after = free_list[i][1] if i < len(free_list) and free_list[i][0] == end else 0
         rest = after + old_size - size
         if rest < 0:
-            # move; allocating first leaves the heap unchanged on OutOfMemory
+            # move; allocating first leaves `old` live and in place on OutOfMemory
             new = self.malloc(n)
             payload = self.mem.load_bytes(self.arena, old.base, old_size)
             self.mem.store_bytes(self.arena, new.base, payload)

@@ -14,7 +14,6 @@ from .scenarios import (
     OPT_LEVELS,
     Scenario,
     ScenarioConfig,
-    expected_outcome,
     outcome_matches,
     run_scenario,
 )
@@ -78,7 +77,7 @@ def run_matrix(spec: RunSpec) -> dict:
         for mode in RUN_CHOICES["mode"][spec.mode]:
             for cfg in configs[dims]:
                 outcome = run_scenario(sid, mode, cfg)
-                expectation = expected_outcome(sid, mode, cfg)
+                expectation = record.expected(mode, cfg)
                 records.append({
                     "scenario": sid,
                     "mode": mode,

@@ -18,8 +18,9 @@ between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
 The memory size and the `mprotect` start and length must pass
-`check_int`, `mprotect`'s perms must be a `Perm`, and `store_cap` stores
-only a `Capability`; anything else raises `ValueError`.
+`check_int`, `mprotect`'s perms must be a `Perm` and its `prot_cap`
+`True` or `False`, and `store_cap` stores only a `Capability`; anything
+else raises `ValueError`.
 An access that passes its capability check but reaches past the end of
 memory faults as unmapped.  An access checks its pages first to last and
 stops at the first that denies it, whose index the fault names.
@@ -134,6 +135,8 @@ class TaggedMemory:
             raise ValueError("mprotect range outside memory")
         if not isinstance(req.perms, Perm):
             raise ValueError(f"mprotect perms must be a Perm, not {req.perms!r}")
+        if req.prot_cap is not True and req.prot_cap is not False:
+            raise ValueError(f"mprotect prot_cap must be True or False, not {req.prot_cap!r}")
         perms = req.perms._value_
         strip = perms & _ACCESS and not req.prot_cap
         caps = self.granule_caps

@@ -135,6 +135,14 @@ class Scenario:
         object.__setattr__(self, "seal_sensitive", any(len(set(row)) > 1 for row in grid))
         object.__setattr__(self, "opt_sensitive", any(len(set(col)) > 1 for col in zip(*grid)))
 
+    def expected(self, mode: str, cfg: ScenarioConfig, given: tuple = ()) -> tuple:
+        """The outcome pair one cell must produce: `buggy(cfg)` for the buggy
+        variant where the bug shows on `given` (the parsed payload as a
+        tuple, `()` for the default input), else `(OK, None)`. The
+        arguments are taken as checked; `expected_outcome` checks them."""
+        shows = not given or self.manifests is None or self.manifests(*given)
+        return self.buggy(cfg) if mode == "buggy" and shows else _OK
+
 
 CATALOGUE: dict[str, Scenario] = {}
 
@@ -531,8 +539,7 @@ def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig | None, payload=No
     as does a `cfg` that is not a `ScenarioConfig` or `None`.
     """
     record, cfg, given = _lookup(sid, mode, cfg, payload)
-    shows = not given or record.manifests is None or record.manifests(*given)
-    return record.buggy(cfg) if mode == "buggy" and shows else _OK
+    return record.expected(mode, cfg, given)
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:

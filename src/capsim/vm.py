@@ -48,12 +48,12 @@ _UTF8_CONTINUATION = bytes(range(0x80, 0xC0))  # every byte whose top bits are 1
 _HASH_SHIFTS = (11, 3)  # the dispatch hash's two shift distances
 _ONE = int64_to_capint(1)  # MarkBitmap.set shifts it to each bit's mask
 
-# memory layout of one VM instance
-MEM_SIZE = 0x10000
+# memory layout of one VM instance: memory ends where the heap ends
 CODE_BASE, CODE_SIZE = 0x1000, 0x1000
 STACK_BASE = 0x2000
 STACK_SIZE = STACK_SLOTS * STACK_SLOT
 HEAP_BASE, HEAP_SIZE = 0x4000, 0x8000
+MEM_SIZE = HEAP_BASE + HEAP_SIZE
 
 # the variants of each runtime idiom and the compiler levels it is built at
 MODES = ("buggy", "fixed")
@@ -181,9 +181,12 @@ class MiniVm:
     page of 32-byte object slots, a downward-growing stack, and a fake
     code region for sealed return addresses and dispatch routines.
 
-    Each instance owns only its mutable state: the tagged memory, the
-    allocator and its heap page, the mark bitmap and the advisories.
-    The code, stack and arena roots are class attributes built once; a
+    The heap page is the first `HEAP_PAGE_BYTES` of the heap; the
+    allocator's arena is the rest of the heap, so its first allocation
+    lands at `HEAP_BASE + HEAP_PAGE_BYTES`, and memory ends where the
+    heap ends.  Each instance owns only its mutable state: the tagged
+    memory, the allocator, the mark bitmap and the advisories.  The code,
+    stack, heap-page and arena roots are class attributes built once; a
     Capability is an immutable value, so every instance shares them.
     `rng` is seeded from `seed` on the first draw, so an instance that
     never draws builds no random generator.  A `seal_mode` not in
@@ -191,7 +194,9 @@ class MiniVm:
 
     code_cap = make_root(CODE_BASE, CODE_SIZE, Perm.LOAD | Perm.EXECUTE)
     stack_cap = make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.STORE)
-    arena_cap = make_root(HEAP_BASE, HEAP_SIZE, Perm.LOAD | Perm.STORE)
+    heap_page = make_root(HEAP_BASE, HEAP_PAGE_BYTES, Perm.LOAD | Perm.STORE)
+    arena_cap = make_root(HEAP_BASE + HEAP_PAGE_BYTES, HEAP_SIZE - HEAP_PAGE_BYTES,
+                          Perm.LOAD | Perm.STORE)
 
     def __init__(self, seal_mode: SealMode = SealMode.FAULT_ON_MODIFY, seed: int = 0):
         # random.Random(-n) draws the stream of n, so a seed must be non-negative
@@ -202,7 +207,6 @@ class MiniVm:
         self.advisories: list[str] = []
         self.mem = TaggedMemory(MEM_SIZE)
         self.alloc = CapAllocator(self.mem, self.arena_cap)
-        self.heap_page = self.alloc.malloc(HEAP_PAGE_BYTES)
         self.bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, WordModel.EXACT64)
 
     _rng = None

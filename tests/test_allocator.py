@@ -10,6 +10,7 @@ from capsim.capability import (
     set_address, set_bounds,
 )
 from capsim.memory import GRANULE, PAGE, TaggedMemory
+from capsim.vm import HEAP_BASE, MiniVm
 
 ARENA_BASE, ARENA_SIZE = 0x1000, 0x4000
 
@@ -59,6 +60,24 @@ class TestMalloc:
         alloc.free(c)
         alloc.revoke()
         assert alloc.malloc(32).base == c.base
+
+    def test_a_full_arena_with_quarantine_revokes_before_it_fails(self):
+        vm = MiniVm()
+        objects = [vm.alloc.malloc(256) for _ in range(112)]
+        assert vm.alloc.free_list == []  # the arena is full
+        for cap in objects:
+            vm.alloc.free(cap)
+        vm.mem.store_cap(vm.heap_page, HEAP_BASE, objects[7])  # a dangling copy
+        assert vm.alloc.malloc(16).base == objects[0].base == 0x5000
+        assert not vm.mem.granule_tag(HEAP_BASE)
+        assert vm.alloc.quarantine == [] and vm.alloc.epoch == 1
+
+    def test_out_of_memory_after_one_sweep_that_frees_too_little(self, setup):
+        _, alloc = setup
+        alloc.free(alloc.malloc(32))
+        with pytest.raises(OutOfMemory):
+            alloc.malloc(ARENA_SIZE + 16)
+        assert alloc.epoch == 1 and alloc.quarantine == []
 
 
 class TestFree:
@@ -499,11 +518,12 @@ def test_realloc_to_a_non_int_size_leaves_the_heap_unchanged(setup, n):
 
 # -- the free list under in-place resizes, moves and first fit ---------------
 
-def _free_gaps(alloc):
+def _free_gaps(alloc, swept=False):
     """The arena minus live and quarantined regions, as maximal runs: what
-    the free list must hold, in its order."""
+    the free list must hold, in its order.  `swept` leaves the quarantine
+    out, as a sweep recycles it."""
     gaps, at = [], alloc.arena.base
-    for base, length in sorted(list(alloc.live.items()) + alloc.quarantine):
+    for base, length in sorted(list(alloc.live.items()) + ([] if swept else alloc.quarantine)):
         if base > at:
             gaps.append((at, base - at))
         at = base + length
@@ -516,19 +536,37 @@ def _first_fit(gaps, size):
     return next((base for base, length in gaps if length >= size), None)
 
 
+def _malloc_base(alloc, gaps, size):
+    """Where `malloc` puts `size` bytes: the first fit, or, when none fits
+    and the quarantine is not empty, the first fit after the sweep."""
+    want = _first_fit(gaps, size)
+    if want is None and alloc.quarantine:
+        want = _first_fit(_free_gaps(alloc, swept=True), size)
+    return want
+
+
 churn_steps = st.lists(st.tuples(
     st.sampled_from(["malloc", "free", "shrink", "same", "grow", "grow_far", "revoke"]),
     st.integers(0, 1 << 16), st.integers(1, 600)), max_size=60)
 
 
+# the arena holds 26 objects of 608 bytes: the 27th fails with an empty
+# quarantine; once some are freed, a malloc or move that fits no gap sweeps
+# and succeeds
+FULL_ARENA = [("malloc", 0, 600)] * 27 + [("free", 0, 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(churn_steps)
+@example(FULL_ARENA + [("malloc", 0, 600)])
+@example(FULL_ARENA + [("free", 0, 1), ("grow", 3, 600)])
 def test_free_list_matches_coalesced_regions_after_every_step(steps):
-    """malloc takes the lowest-addressed gap that fits, growth stays in
-    place exactly when a gap starting at the object's end is large enough
-    and otherwise moves to the first fit, and after every step the free
-    list is `_coalesce` of itself and equal to the gaps between live and
-    quarantined regions."""
+    """malloc takes the lowest-addressed gap that fits, or, when none
+    fits and the quarantine is not empty, the lowest one after a sweep;
+    growth stays in place exactly when a gap starting at the object's end
+    is large enough and otherwise moves where malloc would put it; and
+    after every step the free list is `_coalesce` of itself and equal to
+    the gaps between live and quarantined regions."""
     mem = TaggedMemory(8 * PAGE)
     alloc = CapAllocator(mem, make_root(ARENA_BASE, ARENA_SIZE, Perm.LOAD | Perm.STORE))
     live = []
@@ -537,7 +575,7 @@ def test_free_list_matches_coalesced_regions_after_every_step(steps):
         if op == "revoke" or (op != "malloc" and not live):
             alloc.revoke()
         elif op == "malloc":
-            want = _first_fit(gaps, _round_up(n))
+            want = _malloc_base(alloc, gaps, _round_up(n))
             try:
                 live.append(alloc.malloc(n))
             except OutOfMemory:
@@ -560,7 +598,7 @@ def test_free_list_matches_coalesced_regions_after_every_step(steps):
             if size <= old.length or tail >= size - old.length:
                 want = old.base
             else:
-                want = _first_fit(gaps, size)
+                want = _malloc_base(alloc, gaps, size)
             try:
                 live[i] = alloc.realloc(old, n)
             except OutOfMemory:

@@ -51,6 +51,13 @@ REJECTIONS = {
         PageProtRequest(0, 2 * PAGE, Perm.LOAD))),
     "mprotect-float-start": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
         PageProtRequest(0.0, PAGE, Perm.LOAD))),
+    # prot_cap is True or False itself, never a value read for its truth
+    "mprotect-str-prot-cap": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
+        PageProtRequest(0, PAGE, Perm.LOAD, "no"))),
+    "mprotect-int-prot-cap": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
+        PageProtRequest(0, PAGE, Perm.LOAD, 1))),
+    "mprotect-none-prot-cap": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
+        PageProtRequest(0, PAGE, Perm.LOAD, None))),
     "utf8-partial-word": (ValueError, lambda: count_utf8_lead_bytes(b"abc", WordModel.EXACT64)),
     "stack-entry-kind": (ValueError, lambda: MiniVm().lay_out_stack([("bogus", 0)])),
     "gc-mark-variant": (ValueError, lambda: MiniVm().gc_mark(

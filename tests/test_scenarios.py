@@ -373,6 +373,14 @@ def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
     assert outcome_matches(out, expected_outcome(sid, mode, cfg, payload)), out
 
 
+def test_expected_outcome_is_the_records_own_rule_on_every_cell():
+    spec = RunSpec()
+    for sid, record in CATALOGUE.items():
+        for mode in MODES:
+            for cfg in _configs_for(record, spec):
+                assert expected_outcome(sid, mode, cfg) == record.expected(mode, cfg)
+
+
 def test_catalogue_complete():
     for sid in CATALOGUE:
         for mode in ("buggy", "fixed"):

@@ -4,6 +4,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capsim.allocator import AllocError
 from capsim.capability import (
     CapFault,
     FaultKind,
@@ -19,6 +20,9 @@ from capsim.capability import (
     set_bounds,
 )
 from capsim.vm import (
+    HEAP_BASE,
+    HEAP_PAGE_BYTES,
+    HEAP_SIZE,
     IMMEDIATE_MASK,
     STACK_BASE,
     STACK_SIZE,
@@ -202,6 +206,30 @@ def test_object_refs_have_page_wide_bounds():
     assert ref.address % 32 == 0 and (ref.address & IMMEDIATE_MASK) == 0
 
 
+def test_the_heap_page_is_one_shared_root_outside_the_arena():
+    vm = MiniVm()
+    assert "heap_page" in MiniVm.__dict__ and vm.heap_page is MiniVm.heap_page
+    assert MiniVm.heap_page == make_root(HEAP_BASE, HEAP_PAGE_BYTES, Perm.LOAD | Perm.STORE)
+    assert (vm.arena_cap.base, vm.arena_cap.top) == (HEAP_BASE + HEAP_PAGE_BYTES,
+                                                     HEAP_BASE + HEAP_SIZE)
+    assert vm.mem.size == HEAP_BASE + HEAP_SIZE  # memory ends where the heap ends
+
+
+def test_a_fresh_vm_allocates_first_at_the_end_of_the_heap_page():
+    vm = MiniVm()
+    assert vm.alloc.live == {} and vm.alloc.quarantine == []
+    first = vm.alloc.malloc(1)
+    assert (first.base, first.address) == (HEAP_BASE + HEAP_PAGE_BYTES,) * 2
+
+
+def test_the_heap_page_is_not_an_allocation():
+    vm = MiniVm()
+    with pytest.raises(AllocError):
+        vm.alloc.free(vm.heap_page)
+    with pytest.raises(AllocError):
+        vm.alloc.realloc(vm.heap_page, 16)
+
+
 def test_stack_values_yields_each_slot_from_top_to_bottom():
     vm = MiniVm()
     top = vm.lay_out_stack([("ref", 3), ("int", 0x1234), ("ret", 0x1180)])
@@ -272,8 +300,8 @@ def test_vms_built_in_a_row_share_no_mutable_state():
     """Only the immutable roots are shared: stores, allocations, marks and
     advisories made in one VM never show in the next."""
     used, fresh = MiniVm(SealMode.INVALIDATE_ON_MODIFY), MiniVm(SealMode.INVALIDATE_ON_MODIFY)
-    assert (used.code_cap, used.stack_cap, used.arena_cap) \
-        == (fresh.code_cap, fresh.stack_cap, fresh.arena_cap)
+    assert (used.code_cap, used.stack_cap, used.heap_page, used.arena_cap) \
+        == (fresh.code_cap, fresh.stack_cap, fresh.heap_page, fresh.arena_cap)
     alloc = fresh.alloc
     before = (dict(alloc.live), alloc.free_list[:], fresh.bitmap.words[:], fresh.advisories[:])
 
