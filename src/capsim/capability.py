@@ -7,7 +7,9 @@ and non-dereferenceable, and arithmetic on capability-typed integers
 inherits metadata from the capability operand.  `check_int` is the one
 rule for a number entering the model, here and in the layers above: an
 int, not a `bool`, in the caller's range, else `ValueError`; for a value
-outside a fixed set (a tuple, tested with `in`) it is `not_one_of`.
+outside a fixed set (a tuple, tested with `in`) it is `not_one_of`.  A
+`CapFault` is raised, here and in `memory`, with the check that failed
+and its operands, and `FAULT_WORDING` words it.
 """
 from __future__ import annotations
 
@@ -66,13 +68,58 @@ class FaultKind(enum.Enum):
     ALIGNMENT = "alignment"
 
 
-class CapFault(Exception):
-    """A failed memory access or illegal capability manipulation."""
+# The wording of each check's fault detail, the one place a fault is worded.
+# A row is formatted from the fault's operands (see `CapFault`) plus `end`,
+# the address one past the access.
+FAULT_WORDING = {
+    "tag": "untagged capability @{address:#x}",
+    "seal": "sealed capability @{address:#x}",
+    "permission": "{access.name} not permitted",
+    "bounds": "[{address:#x},{end:#x}) outside [{cap.base:#x},{cap.top:#x})",
+    "unmapped": "[{address:#x},{end:#x}) unmapped",
+    "page": "page {page:#x} denies {access.name}",
+    "alignment": "capability {op} at {address:#x}",
+    "sealed-modify": "{op} on sealed capability",
+}
 
-    def __init__(self, kind: FaultKind, detail: str = ""):
-        super().__init__(f"{kind._value_} fault: {detail}" if detail else f"{kind._value_} fault")
+
+class CapFault(Exception):
+    """A failed memory access or illegal capability manipulation.
+
+    The model raises it with its facts: the fault `kind`, the `check` that
+    failed (a key of `FAULT_WORDING`) and that check's operands, each
+    `None` where the check has none: the capability `cap`, the access kind
+    `access` (a `Perm`), the access `size` and `address`, the denying
+    `page` index and the operation `op`.  `detail` and `str(fault)` are
+    worded from `FAULT_WORDING` when they are read, not when the fault is
+    raised.  Without a `check`, `CapFault(kind, detail)` holds its detail
+    as free text.
+    """
+
+    def __init__(self, kind: FaultKind, detail: str = "", *, check: str | None = None,
+                 cap: Capability | None = None, access: Perm | None = None,
+                 size: int | None = None, address: int | None = None,
+                 page: int | None = None, op: str | None = None):
         self.kind = kind
-        self.detail = detail
+        self.check = check
+        self.cap = cap
+        self.access = access
+        self.size = size
+        self.address = address
+        self.page = page
+        self.op = op
+        self._text = detail
+
+    @property
+    def detail(self) -> str:
+        if self.check is None:
+            return self._text
+        end = None if self.address is None or self.size is None else self.address + self.size
+        return FAULT_WORDING[self.check].format_map({**vars(self), "end": end})
+
+    def __str__(self) -> str:
+        detail = self.detail
+        return f"{self.kind._value_} fault: {detail}" if detail else f"{self.kind._value_} fault"
 
 
 class WordModel(enum.Enum):
@@ -207,14 +254,15 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
     return Capability(True, base, base, base + length, perms)
 
 
-def _sealed_modify(mode: SealMode, what: str) -> bool:
-    """The tag of a value derived from a tagged sealed capability: a seal
-    fault under FAULT_ON_MODIFY, a cleared tag under INVALIDATE_ON_MODIFY."""
+def _sealed_modify(cap: Capability, mode: SealMode, op: str) -> bool:
+    """The tag of a value that `op` derives from the tagged sealed `cap`: a
+    seal fault under FAULT_ON_MODIFY, a cleared tag under
+    INVALIDATE_ON_MODIFY."""
     if mode is SealMode.INVALIDATE_ON_MODIFY:
         return False
     if mode is not SealMode.FAULT_ON_MODIFY:
         raise not_one_of("seal mode", SEAL_MODES, mode)
-    raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
+    raise CapFault(FaultKind.SEAL, check="sealed-modify", cap=cap, op=op)
 
 
 def set_bounds(cap: Capability, new_base: int, new_length: int,
@@ -231,7 +279,7 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     check_int(new_length, "bounds length")
     new_top = new_base + new_length
     if cap.tag and cap.seal is not _UNSEALED:
-        ok = _sealed_modify(mode, "set_bounds")
+        ok = _sealed_modify(cap, mode, "set_bounds")
     else:
         ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
     return Capability(ok, new_base, new_base, new_top, cap.perms, cap.seal)
@@ -244,7 +292,7 @@ def restrict_perms(cap: Capability, perms: Perm,
     if not isinstance(perms, Perm):
         raise ValueError(f"perms must be a Perm, not {perms!r}")
     if cap.tag and cap.seal is not _UNSEALED:
-        ok = _sealed_modify(mode, "restrict_perms")
+        ok = _sealed_modify(cap, mode, "restrict_perms")
     else:
         ok = cap.tag and (perms & cap.perms) == perms
     return Capability(ok, cap.address, cap.base, cap.top, perms, cap.seal)
@@ -258,7 +306,7 @@ def set_address(cap: Capability, addr: int,
     addr = check_int(addr, "address") & MASK64
     tag = cap.tag
     if tag and cap.seal is not _UNSEALED:
-        tag = _sealed_modify(mode, "set_address")
+        tag = _sealed_modify(cap, mode, "set_address")
     return Capability(tag, addr, cap.base, cap.top, cap.perms, cap.seal)
 
 
@@ -280,24 +328,29 @@ def check_access(cap: Capability, kind: Perm, size: int,
     (`held & want == want` on the members' `_value_`), which decides as
     `kind in cap.perms` does, `Perm(0)` included, without the enum's
     Python-level `__contains__`.  Raises CapFault on the first failing
-    check, or ValueError when `size` is below 1.
+    check, carrying that check and its operands.  Before any check, a
+    `kind` that is not a `Perm` raises ValueError, as does a `size` below
+    1; `TaggedMemory` checks that an access's address and size are ints.
     """
     if address is None:
         address = cap.address
+    if type(kind) is not Perm:
+        raise ValueError(f"access kind must be a Perm, not {kind!r}")
     if size < 1:
         raise ValueError("access size must be >= 1")
     if not cap.tag:
-        raise CapFault(FaultKind.TAG, f"untagged capability @{address:#x}")
+        raise CapFault(FaultKind.TAG, check="tag", cap=cap, access=kind, size=size,
+                       address=address)
     if cap.seal is not _UNSEALED:
-        raise CapFault(FaultKind.SEAL, f"sealed capability @{address:#x}")
+        raise CapFault(FaultKind.SEAL, check="seal", cap=cap, access=kind, size=size,
+                       address=address)
     want = kind._value_
     if cap.perms._value_ & want != want:
-        raise CapFault(FaultKind.PERMISSION, f"{kind.name} not permitted")
+        raise CapFault(FaultKind.PERMISSION, check="permission", cap=cap, access=kind,
+                       size=size, address=address)
     if not (cap.base <= address and address + size <= cap.top):
-        raise CapFault(
-            FaultKind.BOUNDS,
-            f"[{address:#x},{address + size:#x}) outside [{cap.base:#x},{cap.top:#x})",
-        )
+        raise CapFault(FaultKind.BOUNDS, check="bounds", cap=cap, access=kind, size=size,
+                       address=address)
 
 
 _BINOPS = {
@@ -343,7 +396,7 @@ def capint_binop(lhs, rhs, op: str,
 
     tag = source.tag
     if tag and source.seal is not _UNSEALED:
-        tag = _sealed_modify(mode, f"binop {op}")
+        tag = _sealed_modify(source, mode, f"binop {op}")
     return Capability(tag, value, source.base, source.top, source.perms, source.seal)
 
 

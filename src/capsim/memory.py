@@ -17,13 +17,16 @@ without `prot_cap`; with `prot_cap` the tags are kept, and a change
 between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
-The memory size and the `mprotect` start and length must pass
-`check_int`, `mprotect`'s perms must be a `Perm` and its `prot_cap`
-`True` or `False`, and `store_cap` stores only a `Capability`; anything
-else raises `ValueError`.
+The memory size, the `mprotect` start and length and every access's
+address and size must pass `check_int`, `mprotect`'s perms must be a
+`Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
+`Capability` and `store_bytes` only `bytes`, a `bytearray` or a
+`memoryview`; anything else raises `ValueError` before any fault check.
 An access that passes its capability check but reaches past the end of
 memory faults as unmapped.  An access checks its pages first to last and
-stops at the first that denies it, whose index the fault names.
+stops at the first that denies it, whose index the fault names.  Every
+fault is raised with its check and operands; its wording lives in
+`capability.FAULT_WORDING`.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ GRANULE = 16
 PAGE = 4096
 _LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
 _ACCESS = (Perm.LOAD | Perm.STORE)._value_  # a page with neither bit is inaccessible
+_BYTES_LIKE = (bytes, bytearray, memoryview)  # what `store_bytes` writes
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,14 @@ class TaggedMemory:
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
+        """Check an access whose address and size the caller has checked
+        are ints (`check_access` reads a `None` address as the
+        capability's own)."""
         check_access(authority, kind, size, addr)
         end = addr + size
         if end > self.size:
-            raise CapFault(FaultKind.PERMISSION, f"[{addr:#x},{end:#x}) unmapped")
+            raise CapFault(FaultKind.PERMISSION, check="unmapped", cap=authority, access=kind,
+                           size=size, address=addr)
         perms = self.page_perms
         want = kind._value_
         page = addr // PAGE
@@ -84,13 +92,17 @@ class TaggedMemory:
             if page == last:
                 return
             page += 1
-        raise CapFault(FaultKind.PERMISSION, f"page {page:#x} denies {kind.name}")
+        raise CapFault(FaultKind.PERMISSION, check="page", cap=authority, access=kind,
+                       size=size, address=addr, page=page)
 
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if not isinstance(value, Capability):
             raise ValueError(f"store_cap stores a Capability, not {value!r}")
+        if type(addr) is not int:
+            check_int(addr, "address")
         if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT, f"capability store at {addr:#x}")
+            raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_STORE,
+                           size=GRANULE, address=addr, op="store")
         self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
         value.encode(self.data, addr)
@@ -100,8 +112,11 @@ class TaggedMemory:
             self.granule_caps.pop(g, None)
 
     def load_cap(self, authority: Capability, addr: int) -> Capability:
+        if type(addr) is not int:
+            check_int(addr, "address")
         if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT, f"capability load at {addr:#x}")
+            raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_LOAD,
+                           size=GRANULE, address=addr, op="load")
         self._check(authority, addr, _LOAD, GRANULE)
         cap = self.granule_caps.get(addr // GRANULE)
         if cap is not None:
@@ -110,17 +125,27 @@ class TaggedMemory:
         return int64_to_capint(struct.unpack_from("<Q", self.data, addr)[0])
 
     def store_bytes(self, authority: Capability, addr: int, payload: bytes) -> None:
-        self._check(authority, addr, _STORE, len(payload))
-        self.data[addr:addr + len(payload)] = payload
+        if type(payload) is not bytes:
+            if not isinstance(payload, _BYTES_LIKE):
+                raise ValueError(f"store_bytes stores bytes, not {payload!r}")
+            payload = bytes(payload)  # a memoryview's len counts items, not bytes
+        if type(addr) is not int:
+            check_int(addr, "address")
+        n = len(payload)
+        self._check(authority, addr, _STORE, n)
+        self.data[addr:addr + n] = payload
         pop = self.granule_caps.pop
         g = addr // GRANULE
-        last = (addr + len(payload) - 1) // GRANULE
+        last = (addr + n - 1) // GRANULE
         pop(g, None)
         while g < last:
             g += 1
             pop(g, None)
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:
+        if type(addr) is not int or type(n) is not int:
+            check_int(addr, "address")
+            check_int(n, "access size")
         self._check(authority, addr, _LOAD, n)
         return bytes(self.data[addr:addr + n])
 

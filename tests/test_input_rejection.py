@@ -3,8 +3,8 @@ import pytest
 
 from capsim.allocator import AllocError, CapAllocator
 from capsim.capability import (
-    CapFault, FaultKind, Perm, WordModel, capint_binop, int64_to_capint, make_root,
-    restrict_perms, seal_entry, set_address, set_bounds,
+    CapFault, FaultKind, Perm, WordModel, capint_binop, check_access, int64_to_capint,
+    make_root, restrict_perms, seal_entry, set_address, set_bounds,
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
@@ -45,6 +45,13 @@ REJECTIONS = {
     "memory-float-size": (ValueError, lambda: TaggedMemory(4096.0)),
     "store-cap-int-value": (ValueError, lambda: TaggedMemory(PAGE).store_cap(_root(), 0, 5)),
     "load-cap-unaligned": (CapFault, lambda: TaggedMemory(PAGE).load_cap(_root(), 8)),
+    # an access kind is a Perm, and a byte store writes bytes, never a list or a str
+    "check-access-str-kind": (ValueError, lambda: check_access(
+        make_root(0, 16, Perm.LOAD), "r", 1)),
+    "store-bytes-list-payload": (ValueError, lambda: TaggedMemory(PAGE).store_bytes(
+        _root(), 0, [1, 2])),
+    "store-bytes-str-payload": (ValueError, lambda: TaggedMemory(PAGE).store_bytes(
+        _root(), 0, "ab")),
     "mprotect-unaligned": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
         PageProtRequest(16, PAGE, Perm.LOAD))),
     "mprotect-past-end": (ValueError, lambda: TaggedMemory(PAGE).mprotect(
@@ -98,13 +105,7 @@ def test_gc_mark_skips_a_capability_outside_the_heap_page(variant):
 
 # Every numeric entry point guarded by `check_int`, and `store_cap`'s value,
 # meets the same hostile values: one that is not an int raises `ValueError`,
-# and an int is either accepted or raises a defined error.  Out of this table, on purpose, a
-# `TypeError` stays:
-# - for `capint_binop` with no capability operand: no metadata to inherit,
-#   so the call is a misuse of the type, not a bad number;
-# - for a float per-access address or size in `load_bytes` and
-#   `store_bytes`: these sit on the heap_churn workload's median path, and
-#   a check there waits for its own measurement on that workload.
+# and an int is either accepted or raises a defined error.
 NOT_INTS = [True, 16.0, 2.5, "16", b"\x10", None]
 HOSTILE_INTS = [-1, 2**64, 2**70]
 
@@ -128,6 +129,11 @@ NUMERIC_ENTRY_POINTS = {
     "mprotect-start": lambda v: TaggedMemory(PAGE).mprotect(PageProtRequest(v, PAGE, Perm.LOAD)),
     "mprotect-length": lambda v: TaggedMemory(PAGE).mprotect(PageProtRequest(0, v, Perm.LOAD)),
     "store_cap-value": lambda v: TaggedMemory(PAGE).store_cap(_root(), 0, v),
+    "store_cap-address": lambda v: TaggedMemory(PAGE).store_cap(_root(), v, _root()),
+    "load_cap-address": lambda v: TaggedMemory(PAGE).load_cap(_root(), v),
+    "store_bytes-address": lambda v: TaggedMemory(PAGE).store_bytes(_root(), v, b"ab"),
+    "load_bytes-address": lambda v: TaggedMemory(PAGE).load_bytes(_root(), v, 4),
+    "load_bytes-size": lambda v: TaggedMemory(PAGE).load_bytes(_root(), 16, v),
     "bitmap-set": lambda v: MarkBitmap(128, WordModel.EXACT64).set(v),
     "bitmap-test": lambda v: MarkBitmap(128, WordModel.PADDED_CAP).test(v),
     "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),

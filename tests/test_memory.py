@@ -1,3 +1,4 @@
+import array
 import random
 import struct
 
@@ -75,6 +76,18 @@ def test_bytes_round_trip(mem, auth):
     payload = bytes(range(100))
     mem.store_bytes(auth, 0x500, payload)
     assert mem.load_bytes(auth, 0x500, 100) == payload
+
+
+@pytest.mark.parametrize("payload", [
+    bytearray(b"\x01\x02"),
+    memoryview(b"\x01\x02"),
+    memoryview(array.array("I", [1, 2])),  # len 2, but 8 bytes
+], ids=["bytearray", "memoryview", "memoryview-of-u32"])
+def test_bytes_like_payload_stores_its_bytes(mem, auth, payload):
+    raw = bytes(payload)
+    mem.store_bytes(auth, 0x500, payload)
+    assert mem.load_bytes(auth, 0x500, len(raw)) == raw
+    assert len(mem.data) == mem.size
 
 
 def test_store_beyond_bounds(mem):

@@ -1,11 +1,13 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no module constant spelled twice, one random generator
-constructor, one int rule, one choice error, one outcome vocabulary.  A
-helper whose last caller goes must go with it; a constant has one module
-that defines it; a VM's randomness comes from `MiniVm.rng`; "an int, not
-a bool" is spelled only in `check_int`; the error for a value outside a
-fixed set is worded only in `not_one_of`; an outcome is an
-`OutcomeKind`, never a string tag."""
+constructor, one int rule, one choice error, one fault wording, one
+outcome vocabulary.  A helper whose last caller goes must go with it; a
+constant has one module that defines it; a VM's randomness comes from
+`MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`; the
+error for a value outside a fixed set is worded only in `not_one_of`; a
+fault is raised with its check and operands and worded only in
+`capability.FAULT_WORDING`; an outcome is an `OutcomeKind`, never a
+string tag."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -164,6 +166,25 @@ def test_the_choice_error_is_worded_once():
     worded = [f"{module}:{where}:{line}" for module, tree in sorted(TREES.items())
               for where, line in _choice_error_wordings(tree)]
     assert [w.rsplit(":", 1)[0] for w in worded] == ["capability.py:not_one_of"], worded
+
+
+def _worded_faults(tree):
+    """The line of each `CapFault(...)` call in `tree` that takes an
+    f-string anywhere or a string literal as its detail."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapFault":
+            values = node.args + [keyword.value for keyword in node.keywords]
+            details = node.args[1:] + [k.value for k in node.keywords if k.arg == "detail"]
+            if any(isinstance(value, ast.JoinedStr) for value in values) or any(
+                    isinstance(value, ast.Constant) and isinstance(value.value, str)
+                    for value in details):
+                yield node.lineno
+
+
+def test_fault_text_is_worded_once():
+    worded = [f"{module}:{line}" for module, tree in sorted(TREES.items())
+              for line in _worded_faults(tree)]
+    assert not worded, f"raise CapFault with its check and operands, not text: {worded}"
 
 
 STRING_OUTCOME_TAGS = {"ok", "fault", "corrupt"}
