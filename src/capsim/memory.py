@@ -1,5 +1,10 @@
 """Byte-addressable memory with per-granule validity tags.
 
+The bytes are one writable `memoryview` over a `bytearray`, `data`:
+`store_bytes` assigns through it and `load_bytes` copies a slice of it
+out as `bytes`, so a loaded value never aliases memory.  A memoryview
+cannot be pickled, so neither a `TaggedMemory` nor a `MiniVm` that holds
+one can be deep-copied or pickled.
 Every load and store names an authorising capability and an address;
 the capability is checked at that address in place (`check_access` with
 an explicit address: tag, seal, permission, bounds), so no moved copy of
@@ -17,6 +22,9 @@ without `prot_cap`; with `prot_cap` the tags are kept, and a change
 between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
+`mprotect` is the only writer of that table, and it keeps `denials`: for
+each of the eight wanted masks, the number of pages that lack some bit
+of it.  An access walks its pages only when its mask's count is not 0.
 The memory size, the `mprotect` start and length and every access's
 address and size must pass `check_int`, `mprotect`'s perms must be a
 `Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
@@ -51,6 +59,9 @@ PAGE = 4096
 _LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
 _ACCESS = (Perm.LOAD | Perm.STORE)._value_  # a page with neither bit is inaccessible
 _BYTES_LIKE = (bytes, bytearray, memoryview)  # what `store_bytes` writes
+_MASKS = PERM_ALL._value_ + 1  # every permission mask, `Perm(0)` included
+# held mask -> the wanted masks it denies
+_DENIES = [[w for w in range(_MASKS) if held & w != w] for held in range(_MASKS)]
 
 
 @dataclass(frozen=True)
@@ -67,25 +78,33 @@ class TaggedMemory:
         if check_int(size, "memory size", 1, sys.maxsize) % PAGE != 0:
             raise ValueError("size must be a positive multiple of the page size")
         self.size = size
-        self.data = bytearray(size)
+        self.data = memoryview(bytearray(size))
         # granule index -> capability, for tagged granules only
         self.granule_caps: dict[int, Capability] = {}
         # page index -> permission mask (a `Perm` member's `_value_`)
         self.page_perms = [PERM_ALL._value_] * (size // PAGE)
+        # wanted mask -> number of pages whose mask lacks some bit of it
+        self.denials = [0] * _MASKS
 
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
         """Check an access whose address and size the caller has checked
         are ints (`check_access` reads a `None` address as the
-        capability's own)."""
+        capability's own).  The pages are walked only when `denials`, which
+        `mprotect` keeps, counts some page that lacks a bit of the wanted
+        mask; otherwise no page can deny the access, and the walk would
+        pass.  The capability checks come first either way, so skipping
+        the walk changes no decision and no fault order."""
         check_access(authority, kind, size, addr)
         end = addr + size
         if end > self.size:
             raise CapFault(FaultKind.PERMISSION, check="unmapped", cap=authority, access=kind,
                            size=size, address=addr)
-        perms = self.page_perms
         want = kind._value_
+        if not self.denials[want]:
+            return
+        perms = self.page_perms
         page = addr // PAGE
         last = (end - 1) // PAGE
         while perms[page] & want == want:
@@ -147,7 +166,7 @@ class TaggedMemory:
             check_int(addr, "address")
             check_int(n, "access size")
         self._check(authority, addr, _LOAD, n)
-        return bytes(self.data[addr:addr + n])
+        return self.data[addr:addr + n].tobytes()
 
     # -- page protection ----------------------------------------------
 
@@ -165,13 +184,19 @@ class TaggedMemory:
         perms = req.perms._value_
         strip = perms & _ACCESS and not req.prot_cap
         caps = self.granule_caps
+        page_perms, denials = self.page_perms, self.denials
         for page in range(start // PAGE, (start + length) // PAGE):
+            held = page_perms[page]
             # restoring access to an inaccessible page strips its tags
-            if strip and not self.page_perms[page] & _ACCESS:
+            if strip and not held & _ACCESS:
                 g0 = page * PAGE // GRANULE
                 for g in caps.keys() & range(g0, g0 + PAGE // GRANULE):
                     del caps[g]
-            self.page_perms[page] = perms
+            for w in _DENIES[held]:
+                denials[w] -= 1
+            for w in _DENIES[perms]:
+                denials[w] += 1
+            page_perms[page] = perms
 
     # -- raw inspection (runtime sweeps and test oracles) --------------
 
@@ -186,7 +211,11 @@ class TaggedMemory:
         return zip([g * GRANULE for g in keys], [caps[g] for g in keys])
 
     def clear_granule_tag(self, addr: int) -> None:
+        if type(addr) is not int:
+            check_int(addr, "address")
         self.granule_caps.pop(addr // GRANULE, None)
 
     def granule_tag(self, addr: int) -> bool:
+        if type(addr) is not int:
+            check_int(addr, "address")
         return addr // GRANULE in self.granule_caps

@@ -134,6 +134,8 @@ NUMERIC_ENTRY_POINTS = {
     "store_bytes-address": lambda v: TaggedMemory(PAGE).store_bytes(_root(), v, b"ab"),
     "load_bytes-address": lambda v: TaggedMemory(PAGE).load_bytes(_root(), v, 4),
     "load_bytes-size": lambda v: TaggedMemory(PAGE).load_bytes(_root(), 16, v),
+    "granule_tag-address": lambda v: TaggedMemory(PAGE).granule_tag(v),
+    "clear_granule_tag-address": lambda v: TaggedMemory(PAGE).clear_granule_tag(v),
     "bitmap-set": lambda v: MarkBitmap(128, WordModel.EXACT64).set(v),
     "bitmap-test": lambda v: MarkBitmap(128, WordModel.PADDED_CAP).test(v),
     "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),

@@ -79,10 +79,11 @@ def test_bytes_round_trip(mem, auth):
 
 
 @pytest.mark.parametrize("payload", [
+    b"\x01\x02",
     bytearray(b"\x01\x02"),
     memoryview(b"\x01\x02"),
     memoryview(array.array("I", [1, 2])),  # len 2, but 8 bytes
-], ids=["bytearray", "memoryview", "memoryview-of-u32"])
+], ids=["bytes", "bytearray", "memoryview", "memoryview-of-u32"])
 def test_bytes_like_payload_stores_its_bytes(mem, auth, payload):
     raw = bytes(payload)
     mem.store_bytes(auth, 0x500, payload)
@@ -395,3 +396,29 @@ def test_page_protection_matches_strip_pending_model(npages, ops):
                     model.caps.pop(addr, None)
         assert dict(mem.iter_tagged()) == model.caps, (step, name)
         assert mem.page_perms == [p.value for p in model.perms]
+
+
+# -- the per-mask denial counts that let an access skip its page walk -------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(PERM_GRID), st.booleans()),
+    max_size=20))
+def test_denials_count_the_pages_that_lack_a_bit_of_each_mask(npages, calls):
+    mem = TaggedMemory(npages * PAGE)
+    for page, count, perms, prot_cap in calls:
+        page %= npages
+        count = min(count, npages - page)
+        mem.mprotect(PageProtRequest(page * PAGE, count * PAGE, perms, prot_cap))
+        assert mem.denials == [sum(held & w != w for held in mem.page_perms)
+                               for w in range(PERM_ALL.value + 1)], (page, count, perms)
+
+
+# -- a load copies out of the writable view --------------------------------
+
+def test_loaded_bytes_do_not_alias_memory(mem, auth):
+    mem.store_bytes(auth, 0x500, b"\x01" * 40)
+    out = mem.load_bytes(auth, 0x500, 40)
+    mem.store_bytes(auth, 0x500, b"\x02" * 40)
+    assert type(out) is bytes and out == b"\x01" * 40
+
