@@ -22,9 +22,9 @@ object moves (malloc, copy, free) if `rest < 0`; otherwise one free-list
 write makes (base + size, rest) that block, inserting it, or dropping it
 when `rest` is 0.  A shrink, an equal size and growth in place are all
 this write, after one O(log F) bisection of the F-entry free list.
-A size that fails `check_int` (not an int, or a `bool`) raises
-`ValueError`, and an int size below one byte raises `AllocError`, both
-before the heap is touched.
+A size that fails `check_int` (not an int, or a `bool`) and a freed or
+resized value that is not a `Capability` raise `ValueError`, and an int
+size below one byte raises `AllocError`, all before the heap is touched.
 """
 from __future__ import annotations
 
@@ -104,7 +104,10 @@ class CapAllocator:
     def _object_size(self, cap: Capability, what: str) -> int:
         """The size of the live object whose own capability `cap` is:
         tagged, unsealed, with exactly the object's bounds and the arena's
-        permissions, at any address."""
+        permissions, at any address.  A value that is not a `Capability`
+        raises ValueError."""
+        if not isinstance(cap, Capability):
+            raise ValueError(f"{what} needs a Capability, not {cap!r}")
         size = self.live.get(cap.base)
         if (size != cap.top - cap.base or not cap.tag
                 or cap.seal is not _UNSEALED or cap.perms != self.arena.perms):

@@ -24,7 +24,10 @@ capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
 `mprotect` is the only writer of that table, and it keeps `denials`: for
 each of the eight wanted masks, the number of pages that lack some bit
-of it.  An access walks its pages only when its mask's count is not 0.
+of it.  Each accessor checks its capability itself, then calls the
+memory's own check (`_check`: unmapped, then the page walk) only when
+the access runs past the end of memory or its mask's count is not 0;
+otherwise neither can fail.
 The memory size, the `mprotect` start and length and every access's
 address and size must pass `check_int`, `mprotect`'s perms must be a
 `Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
@@ -57,6 +60,7 @@ from .capability import (
 GRANULE = 16
 PAGE = 4096
 _LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
+_LOAD_V, _STORE_V = _LOAD._value_, _STORE._value_  # their masks, which index `denials`
 _ACCESS = (Perm.LOAD | Perm.STORE)._value_  # a page with neither bit is inaccessible
 _BYTES_LIKE = (bytes, bytearray, memoryview)  # what `store_bytes` writes
 _MASKS = PERM_ALL._value_ + 1  # every permission mask, `Perm(0)` included
@@ -89,14 +93,16 @@ class TaggedMemory:
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
-        """Check an access whose address and size the caller has checked
-        are ints (`check_access` reads a `None` address as the
-        capability's own).  The pages are walked only when `denials`, which
-        `mprotect` keeps, counts some page that lacks a bit of the wanted
-        mask; otherwise no page can deny the access, and the walk would
-        pass.  The capability checks come first either way, so skipping
-        the walk changes no decision and no fault order."""
-        check_access(authority, kind, size, addr)
+        """The memory's own checks of an access whose capability check
+        (`check_access` at `addr`) has passed: the access must end within
+        memory, then every page it touches must hold the wanted mask.  The
+        pages are walked only when `denials`, which `mprotect` keeps,
+        counts some page that lacks a bit of the wanted mask; otherwise no
+        page can deny the access, and the walk would pass.  Neither check
+        can fail unless `addr + size > self.size` or `denials[want]` is
+        not 0, so an accessor calls this only then; the capability checks
+        come first either way, so skipping the call changes no decision
+        and no fault order."""
         end = addr + size
         if end > self.size:
             raise CapFault(FaultKind.PERMISSION, check="unmapped", cap=authority, access=kind,
@@ -122,7 +128,9 @@ class TaggedMemory:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_STORE,
                            size=GRANULE, address=addr, op="store")
-        self._check(authority, addr, _STORE, GRANULE)
+        check_access(authority, _STORE, GRANULE, addr)
+        if addr + GRANULE > self.size or self.denials[_STORE_V]:
+            self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
         value.encode(self.data, addr)
         if value.tag:
@@ -136,7 +144,9 @@ class TaggedMemory:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_LOAD,
                            size=GRANULE, address=addr, op="load")
-        self._check(authority, addr, _LOAD, GRANULE)
+        check_access(authority, _LOAD, GRANULE, addr)
+        if addr + GRANULE > self.size or self.denials[_LOAD_V]:
+            self._check(authority, addr, _LOAD, GRANULE)
         cap = self.granule_caps.get(addr // GRANULE)
         if cap is not None:
             return cap
@@ -151,21 +161,29 @@ class TaggedMemory:
         if type(addr) is not int:
             check_int(addr, "address")
         n = len(payload)
-        self._check(authority, addr, _STORE, n)
+        check_access(authority, _STORE, n, addr)
+        if addr + n > self.size or self.denials[_STORE_V]:
+            self._check(authority, addr, _STORE, n)
         self.data[addr:addr + n] = payload
-        pop = self.granule_caps.pop
+        # nearly every covered granule is untagged, and a missed `in` costs
+        # less than a missed `pop(g, None)`
+        caps = self.granule_caps
         g = addr // GRANULE
         last = (addr + n - 1) // GRANULE
-        pop(g, None)
+        if g in caps:
+            del caps[g]
         while g < last:
             g += 1
-            pop(g, None)
+            if g in caps:
+                del caps[g]
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:
         if type(addr) is not int or type(n) is not int:
             check_int(addr, "address")
             check_int(n, "access size")
-        self._check(authority, addr, _LOAD, n)
+        check_access(authority, _LOAD, n, addr)
+        if addr + n > self.size or self.denials[_LOAD_V]:
+            self._check(authority, addr, _LOAD, n)
         return self.data[addr:addr + n].tobytes()
 
     # -- page protection ----------------------------------------------

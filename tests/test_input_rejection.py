@@ -26,6 +26,10 @@ def _binop_on_a_return_address(vm):
 
 REJECTIONS = {
     "malloc-0": (AllocError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).malloc(0)),
+    # only a Capability is freed or resized, never a value read for its fields
+    "free-str": (ValueError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).free("x")),
+    "realloc-none": (ValueError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).realloc(
+        None, 16)),
     "root-negative-base": (ValueError, lambda: make_root(-16, 16, Perm.LOAD)),
     "root-base-past-2**64": (ValueError, lambda: make_root(2**64, 0, Perm.LOAD)),
     "root-float-base": (ValueError, lambda: make_root(0.5, 16, Perm.LOAD)),

@@ -120,6 +120,39 @@ def test_access_past_end_of_memory_faults_unmapped(access):
     assert "unmapped" in exc.value.detail
 
 
+# Each accessor on a two-page memory whose second page denies its kind.  A
+# byte access moves 16 bytes from the row's address, which lies 8 bytes
+# below a granule boundary; a granule access cannot straddle the end of
+# memory, so it starts 8 bytes later, at that boundary.
+PRECEDENCE_ACCESSORS = {
+    "load_bytes": (LD, lambda m, a, addr: m.load_bytes(a, addr, 16)),
+    "store_bytes": (ST, lambda m, a, addr: m.store_bytes(a, addr, b"x" * 16)),
+    "load_cap": (LD, lambda m, a, addr: m.load_cap(a, addr + 8)),
+    "store_cap": (ST, lambda m, a, addr: m.store_cap(a, addr + 8, make_root(0, 16, LD))),
+}
+# row -> (authority, access address, the check that fails)
+PRECEDENCE = {
+    # the capability checks come before the end of memory
+    "untagged-past-end": (make_root(0, 4 * PAGE, LD | ST).untagged(), 2 * PAGE - 8, "tag"),
+    # and before the page permissions
+    "bounds-on-denying-page": (make_root(PAGE, GRANULE, LD | ST), PAGE + 8, "bounds"),
+    # the end of memory comes before the page permissions
+    "full-past-end": (make_root(0, 4 * PAGE, LD | ST), 2 * PAGE - 8, "unmapped"),
+}
+
+
+@pytest.mark.parametrize("row", PRECEDENCE)
+@pytest.mark.parametrize("name", PRECEDENCE_ACCESSORS)
+def test_access_faults_at_the_first_failing_check_in_order(name, row):
+    kind, access = PRECEDENCE_ACCESSORS[name]
+    authority, addr, check = PRECEDENCE[row]
+    mem = TaggedMemory(2 * PAGE)
+    mem.mprotect(PageProtRequest(PAGE, PAGE, PERM_ALL & ~kind))
+    with pytest.raises(CapFault) as exc:
+        access(mem, authority, addr)
+    assert exc.value.check == check
+
+
 # -- the pages and granules one access touches ------------------------------
 
 BYTE_ACCESSES = {
