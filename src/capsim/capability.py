@@ -9,7 +9,7 @@ rule for a number entering the model, here and in the layers above: an
 int, not a `bool`, in the caller's range, else `ValueError`; for a value
 outside a fixed set (a tuple, tested with `in`) it is `not_one_of`.  A
 `CapFault` is raised, here and in `memory`, with the check that failed
-and its operands, and `FAULT_WORDING` words it.
+and its operands; `FAULTS` gives that check's fault kind and wording.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ class SealState(enum.Enum):
 # as a class attribute costs several times a module-global read.
 _UNSEALED = SealState.UNSEALED
 _SEALED_ENTRY = SealState.SEALED_ENTRY
+_EXECUTE = Perm.EXECUTE._value_  # its mask, tested as `held & want == want`
 _WORDS = struct.Struct("<QQ")
 _PACK_WORDS, _PACK_WORDS_INTO = _WORDS.pack, _WORDS.pack_into
 
@@ -68,39 +69,42 @@ class FaultKind(enum.Enum):
     ALIGNMENT = "alignment"
 
 
-# The wording of each check's fault detail, the one place a fault is worded.
-# A row is formatted from the fault's operands (see `CapFault`) plus `end`,
-# the address one past the access.
-FAULT_WORDING = {
-    "tag": "untagged capability @{address:#x}",
-    "seal": "sealed capability @{address:#x}",
-    "permission": "{access.name} not permitted",
-    "bounds": "[{address:#x},{end:#x}) outside [{cap.base:#x},{cap.top:#x})",
-    "unmapped": "[{address:#x},{end:#x}) unmapped",
-    "page": "page {page:#x} denies {access.name}",
-    "alignment": "capability {op} at {address:#x}",
-    "sealed-modify": "{op} on sealed capability",
+# check -> (fault kind, wording of its detail): the one place a check is
+# paired with a kind and worded.  A wording is formatted from the fault's
+# operands (see `CapFault`) plus `end`, the address one past the access.
+FAULTS = {
+    "tag": (FaultKind.TAG, "untagged capability @{address:#x}"),
+    "seal": (FaultKind.SEAL, "sealed capability @{address:#x}"),
+    "permission": (FaultKind.PERMISSION, "{access.name} not permitted"),
+    "bounds": (FaultKind.BOUNDS, "[{address:#x},{end:#x}) outside [{cap.base:#x},{cap.top:#x})"),
+    "unmapped": (FaultKind.PERMISSION, "[{address:#x},{end:#x}) unmapped"),
+    "page": (FaultKind.PERMISSION, "page {page:#x} denies {access.name}"),
+    "alignment": (FaultKind.ALIGNMENT, "capability {op} at {address:#x}"),
+    "sealed-modify": (FaultKind.SEAL, "{op} on sealed capability"),
 }
 
 
 class CapFault(Exception):
     """A failed memory access or illegal capability manipulation.
 
-    The model raises it with its facts: the fault `kind`, the `check` that
-    failed (a key of `FAULT_WORDING`) and that check's operands, each
-    `None` where the check has none: the capability `cap`, the access kind
-    `access` (a `Perm`), the access `size` and `address`, the denying
-    `page` index and the operation `op`.  `detail` and `str(fault)` are
-    worded from `FAULT_WORDING` when they are read, not when the fault is
-    raised.  Without a `check`, `CapFault(kind, detail)` holds its detail
-    as free text.
+    The model raises it with its facts: the `check` that failed (a key of
+    `FAULTS`, which gives the fault `kind`) and that check's operands,
+    each `None` where the check has none: the capability `cap`, the
+    access kind `access` (a `Perm`), the access `size` and `address`, the
+    denying `page` index and the operation `op`.  `detail` and
+    `str(fault)` are worded from `FAULTS` when they are read, not when the
+    fault is raised.  A `check` that is not a key of `FAULTS` raises
+    `ValueError`.
     """
 
-    def __init__(self, kind: FaultKind, detail: str = "", *, check: str | None = None,
-                 cap: Capability | None = None, access: Perm | None = None,
-                 size: int | None = None, address: int | None = None,
-                 page: int | None = None, op: str | None = None):
-        self.kind = kind
+    def __init__(self, check: str, *, cap: Capability | None = None,
+                 access: Perm | None = None, size: int | None = None,
+                 address: int | None = None, page: int | None = None,
+                 op: str | None = None):
+        entry = FAULTS.get(check) if isinstance(check, str) else None
+        if entry is None:
+            raise not_one_of("fault check", tuple(FAULTS), check)
+        self.kind = entry[0]
         self.check = check
         self.cap = cap
         self.access = access
@@ -108,18 +112,14 @@ class CapFault(Exception):
         self.address = address
         self.page = page
         self.op = op
-        self._text = detail
 
     @property
     def detail(self) -> str:
-        if self.check is None:
-            return self._text
         end = None if self.address is None or self.size is None else self.address + self.size
-        return FAULT_WORDING[self.check].format_map({**vars(self), "end": end})
+        return FAULTS[self.check][1].format_map({**vars(self), "end": end})
 
     def __str__(self) -> str:
-        detail = self.detail
-        return f"{self.kind._value_} fault: {detail}" if detail else f"{self.kind._value_} fault"
+        return f"{self.kind._value_} fault: {self.detail}"
 
 
 class WordModel(enum.Enum):
@@ -262,7 +262,7 @@ def _sealed_modify(cap: Capability, mode: SealMode, op: str) -> bool:
         return False
     if mode is not SealMode.FAULT_ON_MODIFY:
         raise not_one_of("seal mode", SEAL_MODES, mode)
-    raise CapFault(FaultKind.SEAL, check="sealed-modify", cap=cap, op=op)
+    raise CapFault("sealed-modify", cap=cap, op=op)
 
 
 def set_bounds(cap: Capability, new_base: int, new_length: int,
@@ -294,7 +294,8 @@ def restrict_perms(cap: Capability, perms: Perm,
     if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(cap, mode, "restrict_perms")
     else:
-        ok = cap.tag and (perms & cap.perms) == perms
+        want = perms._value_
+        ok = cap.tag and cap.perms._value_ & want == want
     return Capability(ok, cap.address, cap.base, cap.top, perms, cap.seal)
 
 
@@ -313,7 +314,7 @@ def set_address(cap: Capability, addr: int,
 def seal_entry(cap: Capability) -> Capability:
     """Seal an executable capability.  Inputs without tag or EXECUTE yield
     an untagged result; a tag is never conjured."""
-    ok = cap.tag and cap.seal is _UNSEALED and Perm.EXECUTE in cap.perms
+    ok = cap.tag and cap.seal is _UNSEALED and cap.perms._value_ & _EXECUTE == _EXECUTE
     return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
 
 
@@ -339,18 +340,14 @@ def check_access(cap: Capability, kind: Perm, size: int,
     if size < 1:
         raise ValueError("access size must be >= 1")
     if not cap.tag:
-        raise CapFault(FaultKind.TAG, check="tag", cap=cap, access=kind, size=size,
-                       address=address)
+        raise CapFault("tag", cap=cap, access=kind, size=size, address=address)
     if cap.seal is not _UNSEALED:
-        raise CapFault(FaultKind.SEAL, check="seal", cap=cap, access=kind, size=size,
-                       address=address)
+        raise CapFault("seal", cap=cap, access=kind, size=size, address=address)
     want = kind._value_
     if cap.perms._value_ & want != want:
-        raise CapFault(FaultKind.PERMISSION, check="permission", cap=cap, access=kind,
-                       size=size, address=address)
+        raise CapFault("permission", cap=cap, access=kind, size=size, address=address)
     if not (cap.base <= address and address + size <= cap.top):
-        raise CapFault(FaultKind.BOUNDS, check="bounds", cap=cap, access=kind, size=size,
-                       address=address)
+        raise CapFault("bounds", cap=cap, access=kind, size=size, address=address)
 
 
 _BINOPS = {

@@ -22,12 +22,12 @@ without `prot_cap`; with `prot_cap` the tags are kept, and a change
 between two accessible masks never strips.  Permissions, of
 capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
-`mprotect` is the only writer of that table, and it keeps `denials`: for
-each of the eight wanted masks, the number of pages that lack some bit
-of it.  Each accessor checks its capability itself, then calls the
-memory's own check (`_check`: unmapped, then the page walk) only when
-the access runs past the end of memory or its mask's count is not 0;
-otherwise neither can fail.
+`mprotect` is the only writer of that table, and it keeps two counts:
+`load_denials`, the number of pages that deny a load, and
+`store_denials`, the number that deny a store.  Each accessor checks its
+capability itself, then calls the memory's own check (`_check`:
+unmapped, then the page walk) only when the access runs past the end of
+memory or its kind's count is not 0; otherwise neither can fail.
 The memory size, the `mprotect` start and length and every access's
 address and size must pass `check_int`, `mprotect`'s perms must be a
 `Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
@@ -36,8 +36,8 @@ address and size must pass `check_int`, `mprotect`'s perms must be a
 An access that passes its capability check but reaches past the end of
 memory faults as unmapped.  An access checks its pages first to last and
 stops at the first that denies it, whose index the fault names.  Every
-fault is raised with its check and operands; its wording lives in
-`capability.FAULT_WORDING`.
+fault is raised with its check and operands; its kind and wording live
+in `capability.FAULTS`.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from typing import Iterator
 from .capability import (
     CapFault,
     Capability,
-    FaultKind,
     Perm,
     PERM_ALL,
     check_access,
@@ -60,12 +59,9 @@ from .capability import (
 GRANULE = 16
 PAGE = 4096
 _LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
-_LOAD_V, _STORE_V = _LOAD._value_, _STORE._value_  # their masks, which index `denials`
+_LOAD_V, _STORE_V = _LOAD._value_, _STORE._value_  # their masks
 _ACCESS = (Perm.LOAD | Perm.STORE)._value_  # a page with neither bit is inaccessible
 _BYTES_LIKE = (bytes, bytearray, memoryview)  # what `store_bytes` writes
-_MASKS = PERM_ALL._value_ + 1  # every permission mask, `Perm(0)` included
-# held mask -> the wanted masks it denies
-_DENIES = [[w for w in range(_MASKS) if held & w != w] for held in range(_MASKS)]
 
 
 @dataclass(frozen=True)
@@ -87,29 +83,24 @@ class TaggedMemory:
         self.granule_caps: dict[int, Capability] = {}
         # page index -> permission mask (a `Perm` member's `_value_`)
         self.page_perms = [PERM_ALL._value_] * (size // PAGE)
-        # wanted mask -> number of pages whose mask lacks some bit of it
-        self.denials = [0] * _MASKS
+        # the number of pages whose mask lacks LOAD, and the number lacking STORE
+        self.load_denials = self.store_denials = 0
 
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
         """The memory's own checks of an access whose capability check
         (`check_access` at `addr`) has passed: the access must end within
-        memory, then every page it touches must hold the wanted mask.  The
-        pages are walked only when `denials`, which `mprotect` keeps,
-        counts some page that lacks a bit of the wanted mask; otherwise no
-        page can deny the access, and the walk would pass.  Neither check
-        can fail unless `addr + size > self.size` or `denials[want]` is
-        not 0, so an accessor calls this only then; the capability checks
-        come first either way, so skipping the call changes no decision
-        and no fault order."""
+        memory, then every page it touches must hold the wanted mask.
+        Neither check can fail unless `addr + size > self.size` or some
+        page denies the access's kind (its count, `load_denials` or
+        `store_denials`, is not 0), so an accessor calls this only then;
+        the capability checks come first either way, so skipping the call
+        changes no decision and no fault order."""
         end = addr + size
         if end > self.size:
-            raise CapFault(FaultKind.PERMISSION, check="unmapped", cap=authority, access=kind,
-                           size=size, address=addr)
+            raise CapFault("unmapped", cap=authority, access=kind, size=size, address=addr)
         want = kind._value_
-        if not self.denials[want]:
-            return
         perms = self.page_perms
         page = addr // PAGE
         last = (end - 1) // PAGE
@@ -117,8 +108,7 @@ class TaggedMemory:
             if page == last:
                 return
             page += 1
-        raise CapFault(FaultKind.PERMISSION, check="page", cap=authority, access=kind,
-                       size=size, address=addr, page=page)
+        raise CapFault("page", cap=authority, access=kind, size=size, address=addr, page=page)
 
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if not isinstance(value, Capability):
@@ -126,10 +116,10 @@ class TaggedMemory:
         if type(addr) is not int:
             check_int(addr, "address")
         if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_STORE,
-                           size=GRANULE, address=addr, op="store")
+            raise CapFault("alignment", cap=authority, access=_STORE, size=GRANULE,
+                           address=addr, op="store")
         check_access(authority, _STORE, GRANULE, addr)
-        if addr + GRANULE > self.size or self.denials[_STORE_V]:
+        if addr + GRANULE > self.size or self.store_denials:
             self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
         value.encode(self.data, addr)
@@ -142,10 +132,10 @@ class TaggedMemory:
         if type(addr) is not int:
             check_int(addr, "address")
         if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT, check="alignment", cap=authority, access=_LOAD,
-                           size=GRANULE, address=addr, op="load")
+            raise CapFault("alignment", cap=authority, access=_LOAD, size=GRANULE,
+                           address=addr, op="load")
         check_access(authority, _LOAD, GRANULE, addr)
-        if addr + GRANULE > self.size or self.denials[_LOAD_V]:
+        if addr + GRANULE > self.size or self.load_denials:
             self._check(authority, addr, _LOAD, GRANULE)
         cap = self.granule_caps.get(addr // GRANULE)
         if cap is not None:
@@ -162,7 +152,7 @@ class TaggedMemory:
             check_int(addr, "address")
         n = len(payload)
         check_access(authority, _STORE, n, addr)
-        if addr + n > self.size or self.denials[_STORE_V]:
+        if addr + n > self.size or self.store_denials:
             self._check(authority, addr, _STORE, n)
         self.data[addr:addr + n] = payload
         # nearly every covered granule is untagged, and a missed `in` costs
@@ -182,7 +172,7 @@ class TaggedMemory:
             check_int(addr, "address")
             check_int(n, "access size")
         check_access(authority, _LOAD, n, addr)
-        if addr + n > self.size or self.denials[_LOAD_V]:
+        if addr + n > self.size or self.load_denials:
             self._check(authority, addr, _LOAD, n)
         return self.data[addr:addr + n].tobytes()
 
@@ -202,7 +192,8 @@ class TaggedMemory:
         perms = req.perms._value_
         strip = perms & _ACCESS and not req.prot_cap
         caps = self.granule_caps
-        page_perms, denials = self.page_perms, self.denials
+        page_perms = self.page_perms
+        denied_load = denied_store = 0  # pages of the range that denied each before
         for page in range(start // PAGE, (start + length) // PAGE):
             held = page_perms[page]
             # restoring access to an inaccessible page strips its tags
@@ -210,11 +201,12 @@ class TaggedMemory:
                 g0 = page * PAGE // GRANULE
                 for g in caps.keys() & range(g0, g0 + PAGE // GRANULE):
                     del caps[g]
-            for w in _DENIES[held]:
-                denials[w] -= 1
-            for w in _DENIES[perms]:
-                denials[w] += 1
+            denied_load += not held & _LOAD_V
+            denied_store += not held & _STORE_V
             page_perms[page] = perms
+        pages = length // PAGE
+        self.load_denials += pages * (not perms & _LOAD_V) - denied_load
+        self.store_denials += pages * (not perms & _STORE_V) - denied_store
 
     # -- raw inspection (runtime sweeps and test oracles) --------------
 

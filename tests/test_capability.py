@@ -392,12 +392,19 @@ def near(c):
                      st.integers(0, MASK64))
 
 
+class RefFault(Exception):
+    """The fault a reference derivation expects, as its own (kind, text)
+    pair rather than a `CapFault` worded by capsim."""
+
+
 def outcome(fn, *args):
     """What a call did: its result, or the kind and text of what it raised."""
     try:
         return ("ok", fn(*args))
     except CapFault as f:
         return ("fault", f.kind, f.detail)
+    except RefFault as f:
+        return ("fault", *f.args)
     except ValueError as e:
         return ("value", str(e))
 
@@ -442,7 +449,7 @@ def test_check_access_edge_cases_match_moved_capability(c, kind, size, a, expect
 
 def ref_sealed_modify(cap, mode, what, **changes):
     if mode is SealMode.FAULT_ON_MODIFY:
-        raise CapFault(FaultKind.SEAL, f"{what} on sealed capability")
+        raise RefFault(FaultKind.SEAL, f"{what} on sealed capability")
     return replace(cap, tag=False, **changes)
 
 
@@ -646,6 +653,32 @@ def test_check_access_permission_grid_matches_flag_membership():
                 check_access(c, want, 8, 0x1010)
             assert exc.value.kind is FaultKind.PERMISSION, (held, want)
             assert exc.value.detail == f"{want.name} not permitted"
+
+
+def test_seal_entry_and_restrict_perms_match_flag_membership_on_every_mask():
+    """Every held mask, and for `restrict_perms` every wanted mask, on a
+    tagged or untagged and a sealed or unsealed input, decides as the Flag
+    rule does: `seal_entry` tags only a tagged unsealed input holding
+    EXECUTE, and `restrict_perms` keeps the tag of a tagged unsealed input
+    only when `want in held`; a tagged sealed input follows the seal mode."""
+    for held in PERM_GRID:
+        for tag in (True, False):
+            for seal in SealState:
+                c = Capability(tag, 0x1010, 0x1000, 0x1100, held, seal)
+                unsealed = seal is SealState.UNSEALED
+                entry = seal_entry(c)
+                assert entry.tag is (tag and unsealed and EX in held), (held, tag, seal)
+                assert entry == replace(c, tag=entry.tag, seal=SealState.SEALED_ENTRY)
+                for want in PERM_GRID:
+                    for mode in SealMode:
+                        if tag and not unsealed and mode is SealMode.FAULT_ON_MODIFY:
+                            with pytest.raises(CapFault) as exc:
+                                restrict_perms(c, want, mode)
+                            assert exc.value.kind is FaultKind.SEAL
+                            continue
+                        got = restrict_perms(c, want, mode)
+                        assert got.tag is (tag and unsealed and want in held), (held, want, tag)
+                        assert got == replace(c, tag=got.tag, perms=want)
 
 
 def setattr_reference(*values):

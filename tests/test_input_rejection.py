@@ -49,6 +49,9 @@ REJECTIONS = {
     "memory-float-size": (ValueError, lambda: TaggedMemory(4096.0)),
     "store-cap-int-value": (ValueError, lambda: TaggedMemory(PAGE).store_cap(_root(), 0, 5)),
     "load-cap-unaligned": (CapFault, lambda: TaggedMemory(PAGE).load_cap(_root(), 8)),
+    # a fault is built from a check that `FAULTS` knows, never from a kind or free text
+    "fault-unknown-check": (ValueError, lambda: CapFault("no-such-check")),
+    "fault-kind-as-check": (ValueError, lambda: CapFault(FaultKind.TAG)),
     # an access kind is a Perm, and a byte store writes bytes, never a list or a str
     "check-access-str-kind": (ValueError, lambda: check_access(
         make_root(0, 16, Perm.LOAD), "r", 1)),

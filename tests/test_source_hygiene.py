@@ -5,9 +5,9 @@ outcome vocabulary.  A helper whose last caller goes must go with it; a
 constant has one module that defines it; a VM's randomness comes from
 `MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`; the
 error for a value outside a fixed set is worded only in `not_one_of`; a
-fault is raised with its check and operands and worded only in
-`capability.FAULT_WORDING`; an outcome is an `OutcomeKind`, never a
-string tag."""
+fault is raised with its check and operands, never its kind, and only
+`capability.FAULTS` pairs a check with its kind and wording; an outcome
+is an `OutcomeKind`, never a string tag."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -185,6 +185,50 @@ def test_fault_text_is_worded_once():
     worded = [f"{module}:{line}" for module, tree in sorted(TREES.items())
               for line in _worded_faults(tree)]
     assert not worded, f"raise CapFault with its check and operands, not text: {worded}"
+
+
+def _names_a_fault_kind(node):
+    """Whether the expression `node` reads `FaultKind` or one of its members."""
+    return any(isinstance(sub, ast.Name) and sub.id == "FaultKind" for sub in ast.walk(node))
+
+
+def test_no_fault_is_raised_with_its_kind():
+    named = [f"{module}:{node.lineno}" for module, tree in sorted(TREES.items())
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapFault"
+             and any(_names_a_fault_kind(arg) for arg in
+                     node.args + [keyword.value for keyword in node.keywords])]
+    assert not named, f"raise CapFault with its check; FAULTS gives the kind: {named}"
+
+
+def _check_kind_pairs(tree, checks):
+    """The line of each dict entry or tuple in `tree` that puts one of the
+    `checks` beside an expression naming a `FaultKind`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            pairs = [(key, [value]) for key, value in zip(node.keys, node.values)]
+        elif isinstance(node, ast.Tuple):
+            pairs = [(item, node.elts) for item in node.elts]
+        else:
+            continue
+        for key, beside in pairs:
+            if (isinstance(key, ast.Constant) and key.value in checks
+                    and any(_names_a_fault_kind(other) for other in beside if other is not key)):
+                yield key.lineno
+
+
+def test_faults_is_the_one_place_a_check_meets_its_kind():
+    table = next(node for node in TREES["capability.py"].body if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["FAULTS"])
+    checks = {key.value for key in table.value.keys}
+    inside = range(table.lineno, table.end_lineno + 1)
+    pairs = [(module, line) for module, tree in sorted(TREES.items())
+             for line in _check_kind_pairs(tree, checks)]
+    assert len([line for module, line in pairs
+                if module == "capability.py" and line in inside]) == len(checks)
+    elsewhere = [f"{module}:{line}" for module, line in pairs
+                 if not (module == "capability.py" and line in inside)]
+    assert not elsewhere, f"pair a check with its kind only in FAULTS: {elsewhere}"
 
 
 STRING_OUTCOME_TAGS = {"ok", "fault", "corrupt"}
