@@ -84,7 +84,6 @@ class CapAllocator:
         self.live: dict[int, int] = {}
         self.free_list: list[tuple[int, int]] = [(arena.base, arena.length)]
         self.quarantine: list[tuple[int, int]] = []
-        self.epoch = 0
 
     # -- internal free-list management --------------------------------
 
@@ -151,26 +150,27 @@ class CapAllocator:
         starts below `top` and `base < top`; each tagged capability bisects
         the span ends for that span.  A sentinel start of 2**65, above any
         `top`, stands for "no such span", so the test needs no bounds check.
-        One comprehension over `iter_tagged`'s snapshot collects the revoked
-        granules first; their tags are cleared after it, in ascending
-        address order.  With T tagged granules, Q quarantined
-        regions and F free-list entries the sweep costs O(T log Q + Q log Q
-        + F), plus `iter_tagged`'s sort of the granule indices: O(T) when
-        the side table already holds them in ascending order, else O(T log T).
+        One comprehension over the memory's tag side table, read in place,
+        collects the revoked granules first; their tags are cleared after
+        it, one `clear_granule_tag` call each, in side-table order.  Nothing
+        writes the table while the comprehension reads it, so no snapshot
+        is taken and nothing is sorted.  With T tagged granules, Q
+        quarantined regions and F free-list entries the sweep costs
+        O(T log Q + Q log Q + F), whatever order the capabilities were
+        stored in.
         Returns the number of tags cleared.
         """
         spans = _coalesce(self.quarantine)
         starts = [start for start, _ in spans]
         starts.append(1 << 65)
         ends = [start + length for start, length in spans]
-        revoked = [addr for addr, cap in self.mem.iter_tagged()
+        revoked = [g for g, cap in self.mem.granule_caps.items()
                    if starts[bisect_right(ends, cap.base)] < cap.top and cap.base < cap.top]
         clear = self.mem.clear_granule_tag
-        for addr in revoked:
-            clear(addr)
+        for g in revoked:
+            clear(g * GRANULE)
         self.free_list = _coalesce(self.free_list + spans)
         self.quarantine = []
-        self.epoch += 1
         return len(revoked)
 
     def realloc(self, old: Capability, n: int) -> Capability:

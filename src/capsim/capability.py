@@ -371,15 +371,16 @@ def capint_binop(lhs, rhs, op: str,
     also records an "ambiguous-provenance" advisory).  Producing the
     result modifies the address of the inherited capability, so a sealed
     source follows the seal-semantics mode.  A non-capability operand
-    must pass `check_int` (an int, not a bool); anything else raises
-    `ValueError`, as does an `op` that is not one of the `_BINOPS` names.
+    must pass `check_int` (an int, not a bool).  A call with no
+    capability operand, a non-capability operand that fails `check_int`
+    and an `op` that is not one of the `_BINOPS` names raise `ValueError`.
 
     Shifts by 64 or more yield the deterministic sentinel value 0.
     """
     lcap = isinstance(lhs, Capability)
     rcap = isinstance(rhs, Capability)
     if not (lcap or rcap):
-        raise TypeError("at least one operand must be a capability-typed integer")
+        raise ValueError("at least one operand must be a capability-typed integer")
     source = lhs if lcap else rhs
     if lcap and rcap and advisories is not None:
         advisories.append("ambiguous-provenance")

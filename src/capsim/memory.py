@@ -12,8 +12,9 @@ it is derived per access.  Every 16-byte aligned granule carries one tag
 bit.  The side table `granule_caps` holds the full capability of each
 tagged granule and nothing else: a granule is tagged exactly when it has
 an entry, so clearing a tag removes the entry, and a sweep or a page's
-tag strip visits only tagged granules.  Any plain byte write into a
-granule clears its tag.
+tag strip visits only tagged granules.  Its keys are granule indices;
+this module and the allocator's sweep are the only code that reads them.
+Any plain byte write into a granule clears its tag.
 Pages have their own permission table and an mprotect-style protection
 call that models tag stripping on access restoration: a page whose mask
 has neither LOAD nor STORE (`Perm(0)` or EXECUTE alone) loses the tags
@@ -208,14 +209,16 @@ class TaggedMemory:
         self.load_denials += pages * (not perms & _LOAD_V) - denied_load
         self.store_denials += pages * (not perms & _STORE_V) - denied_store
 
-    # -- raw inspection (runtime sweeps and test oracles) --------------
+    # -- raw inspection (tag snapshots for callers and test oracles) ----
 
     def iter_tagged(self) -> Iterator[tuple[int, Capability]]:
         """Return a `zip` of (granule base address, capability) for every
         tagged granule in ascending address order.  The snapshot is taken
         when this method is called: the granule indices are sorted and every
         capability is read before it returns, so the consumer may clear
-        tags as it goes."""
+        tags as it goes.  It costs O(T log T) for T tagged granules, so the
+        allocator's revocation sweep does not call it: it reads
+        `granule_caps` in place and clears through `clear_granule_tag`."""
         caps = self.granule_caps
         keys = sorted(caps)
         return zip([g * GRANULE for g in keys], [caps[g] for g in keys])

@@ -26,6 +26,19 @@ def overlaps(cap, base, length):
     return max(cap.base, base) < min(cap.top, base + length)
 
 
+def count_sweeps(monkeypatch):
+    """Wrap `CapAllocator.revoke` for this test; the returned list gets
+    the allocator of every sweep that runs."""
+    sweeps, original = [], CapAllocator.revoke
+
+    def revoke(self):
+        sweeps.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CapAllocator, "revoke", revoke)
+    return sweeps
+
+
 class TestMalloc:
     def test_tight_bounds(self, setup):
         _, alloc = setup
@@ -61,23 +74,25 @@ class TestMalloc:
         alloc.revoke()
         assert alloc.malloc(32).base == c.base
 
-    def test_a_full_arena_with_quarantine_revokes_before_it_fails(self):
+    def test_a_full_arena_with_quarantine_revokes_before_it_fails(self, monkeypatch):
         vm = MiniVm()
         objects = [vm.alloc.malloc(256) for _ in range(112)]
         assert vm.alloc.free_list == []  # the arena is full
         for cap in objects:
             vm.alloc.free(cap)
         vm.mem.store_cap(vm.heap_page, HEAP_BASE, objects[7])  # a dangling copy
+        sweeps = count_sweeps(monkeypatch)
         assert vm.alloc.malloc(16).base == objects[0].base == 0x5000
         assert not vm.mem.granule_tag(HEAP_BASE)
-        assert vm.alloc.quarantine == [] and vm.alloc.epoch == 1
+        assert vm.alloc.quarantine == [] and sweeps == [vm.alloc]
 
-    def test_out_of_memory_after_one_sweep_that_frees_too_little(self, setup):
+    def test_out_of_memory_after_one_sweep_that_frees_too_little(self, setup, monkeypatch):
         _, alloc = setup
         alloc.free(alloc.malloc(32))
+        sweeps = count_sweeps(monkeypatch)
         with pytest.raises(OutOfMemory):
             alloc.malloc(ARENA_SIZE + 16)
-        assert alloc.epoch == 1 and alloc.quarantine == []
+        assert sweeps == [alloc] and alloc.quarantine == []
 
 
 class TestFree:
@@ -128,12 +143,6 @@ class TestRevoke:
         alloc.free(victim)
         alloc.revoke()
         assert mem.load_cap(holder, holder.base) == bystander
-
-    def test_epoch_increments(self, setup):
-        _, alloc = setup
-        assert alloc.epoch == 0
-        alloc.revoke()
-        assert alloc.epoch == 1
 
 
 class TestRealloc:
@@ -426,15 +435,16 @@ def test_revoke_matches_oracle_at_benchmark_scale():
                  if rng.random() < 0.25 else objs[i])
         stored[holder.base + k * GRANULE] = value
         mem.store_cap(holder, holder.base + k * GRANULE, value)
-    assert list(mem.granule_caps) != sorted(mem.granule_caps)  # iter_tagged sorts
+    # the side table's order is not address order, and the sweep must not rely on it
+    assert list(mem.granule_caps) != sorted(mem.granule_caps)
     for i in rng.sample(range(len(objs)), 256):
         alloc.free(objs[i])
     _revoke_and_compare(mem, alloc, stored)
 
 
-def test_revoke_iterates_once_and_clears_through_memory(setup, monkeypatch):
-    """One sweep reads the tagged granules with one `iter_tagged` and
-    clears each revoked one with one `clear_granule_tag`, nothing else."""
+def test_revoke_clears_each_revoked_granule_through_clear_granule_tag(setup, monkeypatch):
+    """One sweep clears each revoked granule with one `clear_granule_tag`
+    call at its base address, and clears nothing else."""
     mem, alloc = setup
     a, b, c, d = (alloc.malloc(64) for _ in range(4))
     alloc.free(a)
@@ -449,22 +459,16 @@ def test_revoke_iterates_once_and_clears_through_memory(setup, monkeypatch):
         (d.base, d.base),              # zero length
     ]
     stored = _store(mem, bounds)
-    original_iter, original_clear = TaggedMemory.iter_tagged, TaggedMemory.clear_granule_tag
-    iterations, clears = [], []
-
-    def iter_tagged(self):
-        iterations.append(self)
-        return original_iter(self)
+    original_clear = TaggedMemory.clear_granule_tag
+    clears = []
 
     def clear_granule_tag(self, addr):
         clears.append(addr)
         original_clear(self, addr)
 
-    monkeypatch.setattr(TaggedMemory, "iter_tagged", iter_tagged)
     monkeypatch.setattr(TaggedMemory, "clear_granule_tag", clear_granule_tag)
     cleared = alloc.revoke()
     untagged = [addr for addr in stored if not mem.granule_tag(addr)]
-    assert iterations == [mem]
     assert clears == untagged == [SLOTS + i * GRANULE for i in (0, 2, 5)]
     assert cleared == len(untagged)
 

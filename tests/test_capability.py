@@ -249,7 +249,7 @@ class TestCapIntOps:
         assert capint_binop(negative, amount, "shr").address == expected
 
     def test_no_capability_operand_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="at least one operand must be a capability"):
             capint_binop(1, 2, "add")
 
     @pytest.mark.parametrize("operand", [2.9, 16.0, "16", True, False, None])

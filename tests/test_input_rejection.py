@@ -41,6 +41,7 @@ REJECTIONS = {
         PageProtRequest(0, PAGE, "rw"))),
     "bitmap-bool-index": (ValueError, lambda: MarkBitmap(128, WordModel.EXACT64).set(True)),
     "binop-mul": (ValueError, lambda: capint_binop(_root(), 2, "mul")),
+    "binop-no-capability": (ValueError, lambda: capint_binop(1, 2, "add")),
     "runspec-mode": (ValueError, lambda: RunSpec(mode="bogus")),
     "runspec-seal-semantics": (ValueError, lambda: RunSpec(seal_semantics="bogus")),
     "runspec-opt-level": (ValueError, lambda: RunSpec(opt_level="O3")),

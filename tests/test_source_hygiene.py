@@ -7,7 +7,8 @@ constant has one module that defines it; a VM's randomness comes from
 error for a value outside a fixed set is worded only in `not_one_of`; a
 fault is raised with its check and operands, never its kind, and only
 `capability.FAULTS` pairs a check with its kind and wording; an outcome
-is an `OutcomeKind`, never a string tag."""
+is an `OutcomeKind`, never a string tag; only the memory and the
+allocator's sweep know the tag side table's key format."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -249,3 +250,19 @@ def test_outcomes_are_spelled_with_outcome_kind():
     tagged = [f"{module}:{line}" for module, tree in sorted(TREES.items())
               for line in _string_tagged_tuples(tree)]
     assert not tagged, f"use (OutcomeKind, FaultKind | None), not a string tag: {tagged}"
+
+
+def _names_granule_caps(tree):
+    """Whether `tree` names the tag side table, as a name, an attribute or
+    a string (a `getattr` of it)."""
+    return any(getattr(node, "attr", None) == "granule_caps"
+               or getattr(node, "id", None) == "granule_caps"
+               or (isinstance(node, ast.Constant) and node.value == "granule_caps")
+               for node in ast.walk(tree))
+
+
+def test_only_the_memory_and_the_allocator_name_the_tag_side_table():
+    # its keys are granule indices; every other module goes through the
+    # memory's accessors and `iter_tagged`
+    naming = [module for module, tree in sorted(TREES.items()) if _names_granule_caps(tree)]
+    assert naming == ["allocator.py", "memory.py"]
