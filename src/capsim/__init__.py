@@ -30,7 +30,6 @@ from .scenarios import (
     OutcomeKind,
     ScenarioConfig,
     ScenarioOutcome,
-    expected_outcome,
     outcome_matches,
     run_scenario,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import operator
 import struct
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -46,8 +46,7 @@ class SealState(enum.Enum):
 _UNSEALED = SealState.UNSEALED
 _SEALED_ENTRY = SealState.SEALED_ENTRY
 _EXECUTE = Perm.EXECUTE._value_  # its mask, tested as `held & want == want`
-_WORDS = struct.Struct("<QQ")
-_PACK_WORDS, _PACK_WORDS_INTO = _WORDS.pack, _WORDS.pack_into
+_PACK_WORDS_INTO = struct.Struct("<QQ").pack_into
 
 
 class SealMode(enum.Enum):
@@ -189,14 +188,9 @@ class Capability:
     def length(self) -> int:
         return self.top - self.base
 
-    def untagged(self, **changes) -> "Capability":
-        return replace(self, tag=False, **changes)
-
-    def encode(self, buffer=None, offset: int = 0) -> bytes | None:
-        """The 16-byte in-memory pattern: low 8 = address, high 8 = metadata.
-
-        Without `buffer` the pattern is returned as `bytes`; with one it is
-        packed into `buffer` at `offset` in place and None is returned.
+    def encode(self, buffer, offset: int) -> None:
+        """Pack the 16-byte in-memory pattern into `buffer` at `offset`:
+        low 8 = address, high 8 = metadata.
 
         The metadata word is `hash()` of a tuple of ints: base and top
         split into 32-bit halves, the permission bits and the seal bit.
@@ -209,10 +203,7 @@ class Capability:
         base, top = self.base, self.top
         meta = hash((base & MASK32, base >> 32, top & MASK32, top >> 32,
                      self.perms._value_, self.seal is _SEALED_ENTRY))
-        if buffer is None:
-            return _PACK_WORDS(self.address & MASK64, meta & MASK64)
         _PACK_WORDS_INTO(buffer, offset, self.address & MASK64, meta & MASK64)
-        return None
 
 
 # A capability used in integer context (pointer-sized integer) is the
@@ -405,6 +396,10 @@ def capint_to_int64(v: CapInt) -> int:
 
 
 def int64_to_capint(n: int) -> CapInt:
-    """An integer becomes an untagged capability: empty bounds, no perms.
-    Any later dereference raises a tag fault."""
+    """An integer becomes an untagged capability: empty bounds, no perms,
+    the address `n` modulo 2**64.  Any later dereference raises a tag
+    fault.  An `n` that is not an int, or is a `bool`, raises `ValueError`
+    (`check_int`)."""
+    if type(n) is not int:
+        check_int(n, "integer")
     return Capability(False, n & MASK64, 0, 0, PERM_NONE)

@@ -11,17 +11,18 @@ its buggy variant must produce in each configuration as an
 `(OutcomeKind, FaultKind | None)` pair; whether the seal-mode and
 opt-level dimensions apply follows from that outcome. `CATALOGUE`, the
 dict from id to `Scenario` record in registration order, is the only
-registry: the harness, the CLI and `expected_outcome` derive everything
-from it. A runner takes `(vm, mode, cfg)`, where `vm` is the fresh
-`MiniVm` that `run_scenario` builds per run, and returns
-`(kind, fault, expected, actual, detail)`; `run_scenario` adds the id,
-the mode and the applicable configuration.
+registry: the harness and the CLI derive everything from it, and a
+record's `expected(mode, cfg, given)` is the one expectation rule. A
+runner takes `(vm, mode, cfg)`, where `vm` is the fresh `MiniVm` that
+`run_scenario` builds per run, and returns `(kind, fault, expected,
+actual, detail)`; `run_scenario` adds the id, the mode and the
+applicable configuration.
 A record takes a caller's payload exactly when it has a `parse`
 function, which turns the payload into the runner's one extra input or
 raises `ValueError`; its runner gives that input a default. Each call of
-`run_scenario` or `expected_outcome` parses the payload once. An
-optional `manifests(input)` predicate says whether the bug shows on a
-parsed input; without it the bug shows on every input.
+`run_scenario` parses the payload once. An optional `manifests(input)`
+predicate says whether the bug shows on a parsed input; without it the
+bug shows on every input.
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ class Scenario:
         """The outcome pair one cell must produce: `buggy(cfg)` for the buggy
         variant where the bug shows on `given` (the parsed payload as a
         tuple, `()` for the default input), else `(OK, None)`. The
-        arguments are taken as checked; `expected_outcome` checks them."""
+        arguments are taken as checked, as `run_scenario` checks them."""
         shows = not given or self.manifests is None or self.manifests(*given)
         return self.buggy(cfg) if mode == "buggy" and shows else _OK
 
@@ -202,7 +203,7 @@ def _s1(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
             vm.gc_mark(v, "fixed")
     except CapFault as f:
         return _fault(f, f"iteration {scanned + 1}")
-    return _check(sorted(refs), sorted(vm.marked_objects()),
+    return _check(sorted(refs), sorted(vm.bitmap.bits()),
                   detail_ok=f"marked {len(refs)} objects")
 
 
@@ -221,7 +222,7 @@ def _s2(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
             vm.gc_mark(v, mode)
         except CapFault as f:
             return _fault(f, f"marking value @{v.address:#x}")
-    return _check(sorted(live), sorted(vm.marked_objects()),
+    return _check(sorted(live), sorted(vm.bitmap.bits()),
                   detail_ok="dead object left unmarked")
 
 
@@ -424,7 +425,7 @@ def _s9(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
                 vm.gc_mark(v, "fixed")
         except CapFault as f:
             return _fault(f, "immediate test created a sealed temporary")
-    return _check(sorted(refs), sorted(vm.marked_objects()),
+    return _check(sorted(refs), sorted(vm.bitmap.bits()),
                   detail_ok="return address skipped, references marked")
 
 
@@ -501,9 +502,13 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def _lookup(sid: str, mode: str, config, payload) -> tuple[Scenario, ScenarioConfig, tuple]:
-    """Check one call's arguments and return its record, its config (`None`
-    means the default) and its parsed payload as a tuple, `()` if none."""
+def run_scenario(sid: str, mode: str,
+                 config: ScenarioConfig | None = None,
+                 payload=None) -> ScenarioOutcome:
+    """Run one scenario variant on a fresh simulator instance.  `config`
+    `None` means the default and `payload` `None` the default input; an
+    unknown id or mode, a config that is not a `ScenarioConfig` and a
+    payload the record does not take raise `ValueError`."""
     if not (isinstance(sid, str) and sid in CATALOGUE):
         raise not_one_of("scenario id", tuple(CATALOGUE), sid)
     if mode not in MODES:
@@ -514,34 +519,13 @@ def _lookup(sid: str, mode: str, config, payload) -> tuple[Scenario, ScenarioCon
     record = CATALOGUE[sid]
     if payload is not None and record.parse is None:
         raise ValueError(f"{sid} needs no payload, not {payload!r}")
-    return record, cfg, () if payload is None else (record.parse(payload),)
-
-
-def run_scenario(sid: str, mode: str,
-                 config: ScenarioConfig | None = None,
-                 payload=None) -> ScenarioOutcome:
-    """Run one scenario variant on a fresh simulator instance."""
-    record, cfg, given = _lookup(sid, mode, config, payload)
+    given = () if payload is None else (record.parse(payload),)
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode._value_ if record.seal_sensitive else None,
                            cfg.opt_level if record.opt_sensitive else None,
                            *record.runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, *given))
 
 
-def expected_outcome(sid: str, mode: str, cfg: ScenarioConfig | None, payload=None) -> tuple:
-    """The catalogued expectation for one (scenario, mode, config) cell,
-    run on `payload` (`None` for the scenario's default input).
-
-    Returns `(OutcomeKind.OK, None)`, `(OutcomeKind.CORRUPT, None)` or
-    `(OutcomeKind.FAULT, FaultKind)`. The payload is parsed as
-    `run_scenario` parses it, so a payload the scenario rejects, or any
-    payload for a scenario that takes none, raises `ValueError` here too,
-    as does a `cfg` that is not a `ScenarioConfig` or `None`.
-    """
-    record, cfg, given = _lookup(sid, mode, cfg, payload)
-    return record.expected(mode, cfg, given)
-
-
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:
-    """Whether a cell's kind and fault are the `expected_outcome` pair."""
+    """Whether a cell's kind and fault are the pair `Scenario.expected` gives."""
     return (outcome.kind, outcome.fault) == expectation

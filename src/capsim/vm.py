@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -32,7 +33,7 @@ from .capability import (
     seal_entry,
     set_address,
 )
-from .memory import GRANULE, PAGE, TaggedMemory
+from .memory import _BYTES_LIKE, GRANULE, PAGE, TaggedMemory
 
 IMMEDIATE_MASK = 0x7
 
@@ -74,8 +75,9 @@ class MarkBitmap:
     Under the padded model the word stride is taken from the storage
     size (128 bits), so bit offsets of 64 and above fall into padding:
     the shift saturates to the sentinel 0 and the or-update is dropped.
-    Under the exact-width model every bit is addressable.  A model not
-    in `WORD_MODELS` or an index not an int in [0, nbits) raises `ValueError`.
+    Under the exact-width model every bit is addressable.  A size
+    `nbits` that is not an int in [0, sys.maxsize), a model not in
+    `WORD_MODELS` or an index not an int in [0, nbits) raises `ValueError`.
     """
 
     nbits: int
@@ -83,10 +85,13 @@ class MarkBitmap:
     words: list[int] = field(init=False)
 
     def __post_init__(self):
+        nbits = self.nbits
+        if type(nbits) is not int or not 0 <= nbits < sys.maxsize:
+            check_int(nbits, "bitmap size", 0, sys.maxsize)
         if self.model not in WORD_MODELS:
             raise not_one_of("word model", WORD_MODELS, self.model)
         stride = self.model.storage_bits
-        self.words = [0] * ((self.nbits + stride - 1) // stride)
+        self.words = [0] * ((nbits + stride - 1) // stride)
 
     def _locate(self, i: int) -> tuple[int, int]:
         """(word index, bit offset in the word) of bit `i`."""
@@ -126,9 +131,15 @@ def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:
 
     The word loop strides by the storage size of the word type.  With padded
     words only the low 8 data bytes of each 16-byte word participate, so
-    half of the input is silently skipped.  A model not in `WORD_MODELS`,
-    or a partial last word, raises `ValueError`.
+    half of the input is silently skipped.  `buf` is `bytes`, a
+    `bytearray` or a `memoryview`, read as its bytes as `store_bytes`
+    reads a payload; anything else, a model not in `WORD_MODELS` or a
+    partial last word raises `ValueError`.
     """
+    if type(buf) is not bytes:
+        if not isinstance(buf, _BYTES_LIKE):
+            raise ValueError(f"count_utf8_lead_bytes reads bytes, not {buf!r}")
+        buf = bytes(buf)
     if model not in WORD_MODELS:
         raise not_one_of("word model", WORD_MODELS, model)
     stride = model.storage_bytes
@@ -229,6 +240,9 @@ class MiniVm:
         return set_address(self.heap_page, self.object_addr(index), self.seal_mode)
 
     def object_addr(self, index: int) -> int:
+        """Address of heap object `index`, an int (`check_int`)."""
+        if type(index) is not int:
+            check_int(index, "object index")
         return self.heap_page.base + index * OBJECT_SLOT
 
     def return_address(self, addr: int) -> Capability:
@@ -248,7 +262,9 @@ class MiniVm:
                  ("imm", value) immediate (odd low bits) as raw bytes.
         Each store names its slot's address and is checked there against
         the stack capability; only the references and return addresses
-        stored are derived.  Returns the stack-top address.
+        stored are derived.  Returns the stack-top address.  An "int" or
+        "imm" value that is not an int, or is a `bool`, raises `ValueError`
+        (`check_int`), as does an unknown kind.
         """
         top = self.stack_bottom - len(entries) * STACK_SLOT
         for addr, (kind, arg) in zip(range(top, self.stack_bottom, STACK_SLOT), entries):
@@ -257,6 +273,8 @@ class MiniVm:
             elif kind == "ret":
                 self.mem.store_cap(self.stack_cap, addr, self.return_address(arg))
             elif kind in ("int", "imm"):
+                if type(arg) is not int:
+                    check_int(arg, "stack integer")
                 self.mem.store_bytes(self.stack_cap, addr, struct.pack("<Q", arg & MASK64))
             else:
                 raise not_one_of("stack entry kind", ("ref", "int", "ret", "imm"), kind)
@@ -321,6 +339,3 @@ class MiniVm:
         self.mem.load_bytes(v, v.address, 8)
         self.bitmap.set((v.address - self.heap_page.base) // OBJECT_SLOT)
         return True
-
-    def marked_objects(self) -> set[int]:
-        return self.bitmap.bits()

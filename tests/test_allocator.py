@@ -11,6 +11,7 @@ from capsim.capability import (
 )
 from capsim.memory import GRANULE, PAGE, TaggedMemory
 from capsim.vm import HEAP_BASE, MiniVm
+from helpers import untagged
 
 ARENA_BASE, ARENA_SIZE = 0x1000, 0x4000
 
@@ -189,10 +190,10 @@ class TestRealloc:
 # Capabilities whose base is that of a live object but which carry no
 # authority over it: free and realloc must refuse them and change nothing.
 FORGERIES = {
-    "untagged-copy": lambda b: b.untagged(),
-    "untagged-root": lambda b: make_root(b.base, 32, Perm.LOAD).untagged(),
+    "untagged-copy": untagged,
+    "untagged-root": lambda b: untagged(make_root(b.base, 32, Perm.LOAD)),
     "sealed": seal_entry,
-    "sealed-untagged": lambda b: seal_entry(b).untagged(),
+    "sealed-untagged": lambda b: untagged(seal_entry(b)),
 }
 
 
@@ -468,9 +469,9 @@ def test_revoke_clears_each_revoked_granule_through_clear_granule_tag(setup, mon
 
     monkeypatch.setattr(TaggedMemory, "clear_granule_tag", clear_granule_tag)
     cleared = alloc.revoke()
-    untagged = [addr for addr in stored if not mem.granule_tag(addr)]
-    assert clears == untagged == [SLOTS + i * GRANULE for i in (0, 2, 5)]
-    assert cleared == len(untagged)
+    stripped = [addr for addr in stored if not mem.granule_tag(addr)]
+    assert clears == stripped == [SLOTS + i * GRANULE for i in (0, 2, 5)]
+    assert cleared == len(stripped)
 
 
 # -- realloc below one byte ----------------------------------------------------

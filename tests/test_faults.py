@@ -15,6 +15,7 @@ from capsim.capability import (
     set_address,
 )
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
+from helpers import untagged
 
 RW = Perm.LOAD | Perm.STORE
 ROOT = make_root(0, 2 * PAGE, RW)
@@ -32,7 +33,7 @@ def _memory():
 # raise site -> (call, kind, check, detail, str(fault)); the details and
 # messages are the model's wording, byte for byte
 RAISE_SITES = {
-    "untagged": (lambda: _memory().load_bytes(ROOT.untagged(), 0x40, 8), FaultKind.TAG, "tag",
+    "untagged": (lambda: _memory().load_bytes(untagged(ROOT), 0x40, 8), FaultKind.TAG, "tag",
                  "untagged capability @0x40", "tag fault: untagged capability @0x40"),
     "sealed": (lambda: check_access(SEALED, Perm.LOAD, 8, 0x1010), FaultKind.SEAL, "seal",
                "sealed capability @0x1010", "seal fault: sealed capability @0x1010"),

@@ -15,6 +15,7 @@ from capsim.capability import (
     set_address,
 )
 from capsim.memory import GRANULE, PAGE, PageProtRequest, TaggedMemory
+from helpers import encoded, untagged
 
 LD, ST = Perm.LOAD, Perm.STORE
 
@@ -42,7 +43,7 @@ def test_unaligned_store_faults(mem, auth):
 
 
 def test_untagged_store_loads_untagged(mem, auth):
-    value = make_root(0x100, 0x40, LD).untagged()
+    value = untagged(make_root(0x100, 0x40, LD))
     mem.store_cap(auth, 0x1000, value)
     out = mem.load_cap(auth, 0x1000)
     assert not out.tag and out.address == 0x100
@@ -133,7 +134,7 @@ PRECEDENCE_ACCESSORS = {
 # row -> (authority, access address, the check that fails)
 PRECEDENCE = {
     # the capability checks come before the end of memory
-    "untagged-past-end": (make_root(0, 4 * PAGE, LD | ST).untagged(), 2 * PAGE - 8, "tag"),
+    "untagged-past-end": (untagged(make_root(0, 4 * PAGE, LD | ST)), 2 * PAGE - 8, "tag"),
     # and before the page permissions
     "bounds-on-denying-page": (make_root(PAGE, GRANULE, LD | ST), PAGE + 8, "bounds"),
     # the end of memory comes before the page permissions
@@ -282,7 +283,7 @@ def test_tag_data_coherence_random_ops(mem, auth):
         else:
             mem.store_bytes(auth, addr, bytes([rng.randrange(256)] * rng.randrange(1, 32)))
     for addr, c in mem.iter_tagged():
-        assert bytes(mem.data[addr:addr + GRANULE]) == c.encode()
+        assert bytes(mem.data[addr:addr + GRANULE]) == encoded(c)
 
 
 # -- page permissions tested on integer masks ------------------------------

@@ -15,11 +15,11 @@ from capsim.scenarios import (
     MODES,
     OutcomeKind,
     ScenarioConfig,
-    expected_outcome,
     outcome_matches,
     run_scenario,
     scenario,
 )
+from helpers import expected
 
 FAULT = ScenarioConfig(seal_mode=SealMode.FAULT_ON_MODIFY)
 INVALIDATE = ScenarioConfig(seal_mode=SealMode.INVALIDATE_ON_MODIFY)
@@ -30,11 +30,6 @@ def test_unknown_scenario_rejected():
         run_scenario("S99", "buggy")
     with pytest.raises(ValueError):
         run_scenario("S1", "weird")
-
-
-def test_expected_outcome_rejects_an_unknown_mode():
-    with pytest.raises(ValueError):
-        expected_outcome("S1", "weird", ScenarioConfig())
 
 
 @pytest.mark.parametrize("field", [{"seal_mode": "fault"}, {"opt_level": "O7"}],
@@ -198,7 +193,7 @@ def test_a_payload_is_parsed_once_per_call(monkeypatch):
         record, parse=counting, manifests=manifests))
     assert run_scenario("S4", "buggy", None, [70, 3]).kind is OutcomeKind.CORRUPT
     assert parsed == [[70, 3]] and manifested == []
-    assert expected_outcome("S4", "buggy", None, (70, 3)) == (OutcomeKind.CORRUPT, None)
+    assert expected("S4", "buggy", None, (70, 3)) == (OutcomeKind.CORRUPT, None)
     assert parsed == [[70, 3], (70, 3)] and manifested == [{3, 70}]
 
 
@@ -207,13 +202,12 @@ def test_a_payload_is_parsed_once_per_call(monkeypatch):
 def test_a_config_that_is_not_a_scenario_config_raises_value_error(config):
     with pytest.raises(ValueError, match="^config must be a ScenarioConfig"):
         run_scenario("S7", "buggy", config)
-    with pytest.raises(ValueError, match="^config must be a ScenarioConfig"):
-        expected_outcome("S7", "buggy", config)
 
 
 def test_no_config_means_the_default_config():
-    assert run_scenario("S7", "buggy", None) == run_scenario("S7", "buggy", ScenarioConfig())
-    assert expected_outcome("S7", "buggy", None) == (OutcomeKind.FAULT, FaultKind.SEAL)
+    out = run_scenario("S7", "buggy", None)
+    assert out == run_scenario("S7", "buggy", ScenarioConfig())
+    assert outcome_matches(out, (OutcomeKind.FAULT, FaultKind.SEAL))
 
 
 def test_s6_buggy_undercounts():
@@ -252,11 +246,11 @@ def test_s7_a_symbol_ending_at_the_traced_address_does_not_hold_it(monkeypatch, 
 
 def test_s4_marks_stop_below_the_bitmap_size():
     nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
-    assert expected_outcome("S4", "buggy", None, [nbits - 1]) == (OutcomeKind.CORRUPT, None)
-    assert expected_outcome("S4", "fixed", None, [nbits - 1]) == (OutcomeKind.OK, None)
+    assert expected("S4", "buggy", None, [nbits - 1]) == (OutcomeKind.CORRUPT, None)
+    assert expected("S4", "fixed", None, [nbits - 1]) == (OutcomeKind.OK, None)
     for mode in MODES:
         with pytest.raises(ValueError, match="S4 needs marks"):
-            expected_outcome("S4", mode, None, [nbits])
+            run_scenario("S4", mode, None, [nbits])
 
 
 def test_s8_spot_hash():
@@ -335,13 +329,6 @@ def test_conservatism_gap():
     assert fixed.kind is OutcomeKind.OK and "unmarked" in fixed.detail
 
 
-@pytest.mark.parametrize("sid, mode, payload", MALFORMED_PAYLOADS.values(),
-                         ids=MALFORMED_PAYLOADS)
-def test_expected_outcome_reads_payloads_like_the_runner(sid, mode, payload):
-    with pytest.raises(ValueError, match=f"^{sid} needs"):
-        expected_outcome(sid, mode, ScenarioConfig(), payload)
-
-
 PAYLOADS = {
     "S4": st.one_of(st.sets(st.integers(0, 127)), st.lists(st.integers(0, 127)),
                     st.frozensets(st.integers(0, 127)).map(tuple)),
@@ -370,21 +357,13 @@ def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
     sid, payload = case
     cfg = ScenarioConfig(seal_mode=seal)
     out = run_scenario(sid, mode, cfg, payload)
-    assert outcome_matches(out, expected_outcome(sid, mode, cfg, payload)), out
-
-
-def test_expected_outcome_is_the_records_own_rule_on_every_cell():
-    spec = RunSpec()
-    for sid, record in CATALOGUE.items():
-        for mode in MODES:
-            for cfg in _configs_for(record, spec):
-                assert expected_outcome(sid, mode, cfg) == record.expected(mode, cfg)
+    assert outcome_matches(out, expected(sid, mode, cfg, payload)), out
 
 
 def test_catalogue_complete():
-    for sid in CATALOGUE:
+    for record in CATALOGUE.values():
         for mode in ("buggy", "fixed"):
-            expected_outcome(sid, mode, ScenarioConfig())
+            assert record.expected(mode, ScenarioConfig()) in scenarios._EXPECTATIONS
 
 
 def test_the_catalogue_holds_the_twelve_scenarios_in_registration_order():

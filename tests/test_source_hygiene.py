@@ -1,7 +1,9 @@
 """Static checks on the package source: no unused import, no unreferenced
-private helper, no module constant spelled twice, one random generator
-constructor, one int rule, one choice error, one fault wording, one
-outcome vocabulary.  A helper whose last caller goes must go with it; a
+private helper, no public name only the tests reach, no module constant
+spelled twice, one random generator constructor, one int rule, one choice
+error, one fault wording, one outcome vocabulary.  A helper whose last
+caller goes must go with it, and so must a public function, method or
+class that nothing in the package, the demos or the benchmark names; a
 constant has one module that defines it; a VM's randomness comes from
 `MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`; the
 error for a value outside a fixed set is worded only in `not_one_of`; a
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "capsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "capsim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
 
@@ -266,3 +269,41 @@ def test_only_the_memory_and_the_allocator_name_the_tag_side_table():
     # memory's accessors and `iter_tagged`
     naming = [module for module, tree in sorted(TREES.items()) if _names_granule_caps(tree)]
     assert naming == ["allocator.py", "memory.py"]
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each public module-level function and
+    class in `tree`, and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _referenced_names(tree):
+    """Every name `tree` reads, bare or as an attribute, and every string
+    literal in it (the benchmark's tracer patches methods by name)."""
+    return _loaded_names(tree) | {node.value for node in ast.walk(tree)
+                                  if isinstance(node, ast.Constant)
+                                  and isinstance(node.value, str)}
+
+
+# public names that only the tests reach, each kept for its reason
+REACHED_ONLY_BY_TESTS = {
+    "MarkBitmap.test": "the per-bit reference that the tests compare `bits()` against",
+}
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # `__init__.py` re-exports through imports, which read no name
+    users = [*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").rglob("*.py")]
+    trees = [*TREES.values(), *(ast.parse(p.read_text(), filename=str(p)) for p in users)]
+    referenced = set().union(*map(_referenced_names, trees))
+    unreached = sorted(qualified for tree in TREES.values()
+                       for qualified, name in _public_definitions(tree)
+                       if name not in referenced)
+    assert unreached == sorted(REACHED_ONLY_BY_TESTS), \
+        "delete what only the tests reach, or say in REACHED_ONLY_BY_TESTS why it stays"

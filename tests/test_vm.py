@@ -35,6 +35,7 @@ from capsim.vm import (
     pad_utf8,
     utf8_lead_oracle,
 )
+from helpers import untagged
 
 
 class TestImmediateTest:
@@ -70,7 +71,7 @@ class TestGcMark:
     def test_tagged_ref_marked(self):
         vm = MiniVm()
         assert vm.gc_mark(vm.object_ref(4), "fixed")
-        assert vm.marked_objects() == {4}
+        assert vm.bitmap.bits() == {4}
 
     def test_pointer_like_integer_buggy_faults(self):
         vm = MiniVm()
@@ -83,7 +84,7 @@ class TestGcMark:
         vm = MiniVm()
         decoy = int64_to_capint(vm.object_addr(4))
         assert not vm.gc_mark(decoy, "fixed")
-        assert vm.marked_objects() == set()
+        assert vm.bitmap.bits() == set()
 
     def test_immediate_skipped(self):
         vm = MiniVm()
@@ -272,7 +273,7 @@ THROUGH = {
                                    Perm.LOAD | Perm.EXECUTE]).map(
                       lambda perms: restrict_perms(MiniVm.stack_cap, perms)),
     "sealed": st.just(seal_entry(make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.EXECUTE))),
-    "untagged": st.just(MiniVm.stack_cap.untagged()),
+    "untagged": st.just(untagged(MiniVm.stack_cap)),
 }
 TOP = {
     "aligned": st.integers(0, STACK_SIZE // STACK_SLOT).map(lambda i: STACK_BASE + i * STACK_SLOT),
@@ -310,7 +311,7 @@ def test_vms_built_in_a_row_share_no_mutable_state():
     used.mem.store_bytes(chunk, chunk.base, b"\xab" * 64)
     used.gc_mark(used.object_ref(5), "fixed")
     insn_hash_capint(used.return_address(0x1000), used.seal_mode, used.advisories)
-    assert used.advisories and used.marked_objects() == {5}
+    assert used.advisories and used.bitmap.bits() == {5}
 
     assert list(fresh.mem.iter_tagged()) == []
     assert [v.address for v in fresh.stack_values(top)] == [0, 0]
