@@ -36,7 +36,7 @@ addr = capint_to_int64(narrow)
 fake = int64_to_capint(addr)
 show("round-tripped", fake)
 try:
-    check_access(fake, Perm.LOAD, 8)
+    check_access(fake, Perm.LOAD, 8, fake.address)
 except CapFault as f:
     print(f"  dereference -> {f}")
 

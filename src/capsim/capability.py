@@ -309,25 +309,24 @@ def seal_entry(cap: Capability) -> Capability:
     return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
 
 
-def check_access(cap: Capability, kind: Perm, size: int,
-                 address: int | None = None) -> None:
-    """Validate an access of `size` bytes at `address` (default cap.address).
+def check_access(cap: Capability, kind: Perm, size: int, address: int) -> None:
+    """The one check of an access of `size` bytes at `address` by `cap`.
 
     Decides exactly as if `cap` had first been moved to `address` without
     masking, e.g. by `dataclasses.replace(cap, address=address)`; the
-    fault details name that address.  Check order is fixed: tag, seal,
-    permission, bounds.  The permission check tests integer masks
-    (`held & want == want` on the members' `_value_`), which decides as
-    `kind in cap.perms` does, `Perm(0)` included, without the enum's
-    Python-level `__contains__`.  Raises CapFault on the first failing
-    check, carrying that check and its operands.  Before any check, a
-    `kind` that is not a `Perm` raises ValueError, as does a `size` below
-    1; `TaggedMemory` checks that an access's address and size are ints.
+    fault details name that address.  First a `kind` that is not a `Perm`
+    raises ValueError, then an `address` and then a `size` that fail
+    `check_int`, then a `size` below 1.  Then the capability is checked in
+    a fixed order, tag, seal, permission (`held & want == want` on integer
+    masks, which decides as `kind in cap.perms` does, `Perm(0)` included),
+    bounds, and the first check that fails raises a CapFault carrying
+    that check and its operands.
     """
-    if address is None:
-        address = cap.address
     if type(kind) is not Perm:
         raise ValueError(f"access kind must be a Perm, not {kind!r}")
+    if type(address) is not int or type(size) is not int:
+        check_int(address, "address")
+        check_int(size, "access size")
     if size < 1:
         raise ValueError("access size must be >= 1")
     if not cap.tag:

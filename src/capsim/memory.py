@@ -5,16 +5,13 @@ The bytes are one writable `memoryview` over a `bytearray`, `data`:
 out as `bytes`, so a loaded value never aliases memory.  A memoryview
 cannot be pickled, so neither a `TaggedMemory` nor a `MiniVm` that holds
 one can be deep-copied or pickled.
-Every load and store names an authorising capability and an address;
-the capability is checked at that address in place (`check_access` with
-an explicit address: tag, seal, permission, bounds), so no moved copy of
-it is derived per access.  Every 16-byte aligned granule carries one tag
-bit.  The side table `granule_caps` holds the full capability of each
-tagged granule and nothing else: a granule is tagged exactly when it has
-an entry, so clearing a tag removes the entry, and a sweep or a page's
-tag strip visits only tagged granules.  Its keys are granule indices;
-this module and the allocator's sweep are the only code that reads them.
-Any plain byte write into a granule clears its tag.
+Every 16-byte aligned granule carries one tag bit.  The side table
+`granule_caps` holds the full capability of each tagged granule and
+nothing else: a granule is tagged exactly when it has an entry, so
+clearing a tag removes the entry, and a sweep or a page's tag strip
+visits only tagged granules.  Its keys are granule indices; this module
+and the allocator's sweep are the only code that reads them.  Any plain
+byte write into a granule clears its tag.
 Pages have their own permission table and an mprotect-style protection
 call that models tag stripping on access restoration: a page whose mask
 has neither LOAD nor STORE (`Perm(0)` or EXECUTE alone) loses the tags
@@ -25,20 +22,22 @@ capabilities and of pages, are tested on integer masks (`held & want ==
 want` on the `Perm` members' `_value_`), so the table holds those ints.
 `mprotect` is the only writer of that table, and it keeps two counts:
 `load_denials`, the number of pages that deny a load, and
-`store_denials`, the number that deny a store.  Each accessor checks its
-capability itself, then calls the memory's own check (`_check`:
-unmapped, then the page walk) only when the access runs past the end of
-memory or its kind's count is not 0; otherwise neither can fail.
-The memory size, the `mprotect` start and length and every access's
-address and size must pass `check_int`, `mprotect`'s perms must be a
+`store_denials`, the number that deny a store.
+Every load and store names an authorising capability and an address,
+and is checked in the ISA's order.  `check_access` tests the address and
+size (`check_int`), then the capability's tag, seal, permission and
+bounds at that address, with no moved copy derived; a capability load
+or store then tests alignment to a granule; the memory's own check,
+`_check`, then tests the end of memory (unmapped) and the pages first to
+last, naming the first that denies the access.  An accessor calls
+`_check` only when the access runs past memory or its kind's count is
+not 0; otherwise neither can fail.  The memory size and the `mprotect`
+start and length must pass `check_int`, `mprotect`'s perms must be a
 `Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
 `Capability` and `store_bytes` only `bytes`, a `bytearray` or a
 `memoryview`; anything else raises `ValueError` before any fault check.
-An access that passes its capability check but reaches past the end of
-memory faults as unmapped.  An access checks its pages first to last and
-stops at the first that denies it, whose index the fault names.  Every
-fault is raised with its check and operands; its kind and wording live
-in `capability.FAULTS`.
+Every fault is raised with its check and operands; its kind and wording
+live in `capability.FAULTS`.
 """
 from __future__ import annotations
 
@@ -90,14 +89,12 @@ class TaggedMemory:
     # -- capability-checked access ------------------------------------
 
     def _check(self, authority: Capability, addr: int, kind: Perm, size: int) -> None:
-        """The memory's own checks of an access whose capability check
-        (`check_access` at `addr`) has passed: the access must end within
-        memory, then every page it touches must hold the wanted mask.
-        Neither check can fail unless `addr + size > self.size` or some
-        page denies the access's kind (its count, `load_denials` or
-        `store_denials`, is not 0), so an accessor calls this only then;
-        the capability checks come first either way, so skipping the call
-        changes no decision and no fault order."""
+        """The memory's own checks of an access whose capability check has
+        passed: the access must end within memory, then every page it
+        touches must hold the wanted mask.  Neither can fail unless
+        `addr + size > self.size` or some page denies the access's kind (its
+        count, `load_denials` or `store_denials`, is not 0), so an accessor
+        calls this only then."""
         end = addr + size
         if end > self.size:
             raise CapFault("unmapped", cap=authority, access=kind, size=size, address=addr)
@@ -114,12 +111,10 @@ class TaggedMemory:
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if not isinstance(value, Capability):
             raise ValueError(f"store_cap stores a Capability, not {value!r}")
-        if type(addr) is not int:
-            check_int(addr, "address")
+        check_access(authority, _STORE, GRANULE, addr)
         if addr % GRANULE != 0:
             raise CapFault("alignment", cap=authority, access=_STORE, size=GRANULE,
                            address=addr, op="store")
-        check_access(authority, _STORE, GRANULE, addr)
         if addr + GRANULE > self.size or self.store_denials:
             self._check(authority, addr, _STORE, GRANULE)
         g = addr // GRANULE
@@ -130,12 +125,10 @@ class TaggedMemory:
             self.granule_caps.pop(g, None)
 
     def load_cap(self, authority: Capability, addr: int) -> Capability:
-        if type(addr) is not int:
-            check_int(addr, "address")
+        check_access(authority, _LOAD, GRANULE, addr)
         if addr % GRANULE != 0:
             raise CapFault("alignment", cap=authority, access=_LOAD, size=GRANULE,
                            address=addr, op="load")
-        check_access(authority, _LOAD, GRANULE, addr)
         if addr + GRANULE > self.size or self.load_denials:
             self._check(authority, addr, _LOAD, GRANULE)
         cap = self.granule_caps.get(addr // GRANULE)
@@ -149,8 +142,6 @@ class TaggedMemory:
             if not isinstance(payload, _BYTES_LIKE):
                 raise ValueError(f"store_bytes stores bytes, not {payload!r}")
             payload = bytes(payload)  # a memoryview's len counts items, not bytes
-        if type(addr) is not int:
-            check_int(addr, "address")
         n = len(payload)
         check_access(authority, _STORE, n, addr)
         if addr + n > self.size or self.store_denials:
@@ -169,9 +160,6 @@ class TaggedMemory:
                 del caps[g]
 
     def load_bytes(self, authority: Capability, addr: int, n: int) -> bytes:
-        if type(addr) is not int or type(n) is not int:
-            check_int(addr, "address")
-            check_int(n, "access size")
         check_access(authority, _LOAD, n, addr)
         if addr + n > self.size or self.load_denials:
             self._check(authority, addr, _LOAD, n)

@@ -167,7 +167,9 @@ def pad_utf8(buf: bytes, stride: int) -> bytes:
 
 
 def insn_hash_int(n: int) -> int:
-    """Dispatch-routine hash on a plain 64-bit integer."""
+    """Dispatch-routine hash on a plain 64-bit integer (`check_int`)."""
+    if type(n) is not int:
+        check_int(n, "hash input")
     s1, s2 = _HASH_SHIFTS
     return (((n >> s1) | ((n << s2) & MASK64)) ^ (n >> s2)) & MASK64
 
@@ -264,10 +266,16 @@ class MiniVm:
         the stack capability; only the references and return addresses
         stored are derived.  Returns the stack-top address.  An "int" or
         "imm" value that is not an int, or is a `bool`, raises `ValueError`
-        (`check_int`), as does an unknown kind.
+        (`check_int`), as do an unknown kind, `entries` that are not a list
+        or tuple and an entry that is not a (kind, value) tuple.
         """
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"stack entries must be a list or tuple, not {entries!r}")
         top = self.stack_bottom - len(entries) * STACK_SLOT
-        for addr, (kind, arg) in zip(range(top, self.stack_bottom, STACK_SLOT), entries):
+        for addr, entry in zip(range(top, self.stack_bottom, STACK_SLOT), entries):
+            if type(entry) is not tuple or len(entry) != 2:
+                raise ValueError(f"a stack entry is a (kind, value) tuple, not {entry!r}")
+            kind, arg = entry
             if kind == "ref":
                 self.mem.store_cap(self.stack_cap, addr, self.object_ref(arg))
             elif kind == "ret":
@@ -300,13 +308,15 @@ class MiniVm:
         arithmetic, creating a temporary capability; on a sealed input
         this follows the seal-semantics mode.  At O1 (and in the fixed
         variant) the address is extracted first and no temporary
-        capability exists.  An unknown variant or opt level raises
-        `ValueError`.
+        capability exists.  An unknown variant or opt level, or a `v` that
+        is not a `Capability`, raises `ValueError`.
         """
         if variant not in MODES:
             raise not_one_of("variant", MODES, variant)
         if opt_level not in OPT_LEVELS:
             raise not_one_of("opt level", OPT_LEVELS, opt_level)
+        if type(v) is not Capability and not isinstance(v, Capability):
+            raise ValueError(f"vm_immediate_p tests a Capability, not {v!r}")
         if variant == "buggy" and opt_level == "O0":
             tmp = self.binop(v, IMMEDIATE_MASK, "and")
             return tmp.address != 0
@@ -324,11 +334,13 @@ class MiniVm:
         anything that looks like an object start; a pointer-like integer
         then raises a tag fault.  The fixed variant requires the validity
         tag (and an unsealed value) before dereferencing, which also skips
-        dead objects reachable only through integers.  An unknown variant
-        raises `ValueError`.
+        dead objects reachable only through integers.  An unknown variant,
+        or a `v` that is not a `Capability`, raises `ValueError`.
         """
         if variant not in MODES:
             raise not_one_of("variant", MODES, variant)
+        if type(v) is not Capability and not isinstance(v, Capability):
+            raise ValueError(f"gc_mark marks a Capability, not {v!r}")
         if v.address & IMMEDIATE_MASK:
             return False  # an immediate, as vm_immediate_p(v, "fixed") says
         if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):

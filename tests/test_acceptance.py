@@ -224,6 +224,6 @@ def test_seal_mode_duality_exhaustive():
             assert not op(sealed, SealMode.INVALIDATE_ON_MODIFY).tag
         for mode in SealMode:
             with pytest.raises(CapFault) as exc:
-                check_access(sealed, Perm.LOAD, 1)
+                check_access(sealed, Perm.LOAD, 1, sealed.address)
             assert exc.value.kind is FaultKind.SEAL
     _report("seal-mode duality (10 ops x 100 capabilities)")

@@ -59,7 +59,7 @@ class TestMakeRoot:
         c = make_root(0x1000, 0, LD)
         assert c.tag and c.length == 0
         with pytest.raises(CapFault) as exc:
-            check_access(c, LD, 1)
+            check_access(c, LD, 1, c.address)
         assert exc.value.kind is FaultKind.BOUNDS
 
     def test_last_byte_of_the_address_space(self):
@@ -130,7 +130,7 @@ class TestSetAddress:
         c = set_address(cap(), 0x5000)
         assert c.tag  # bounds are enforced at access time
         with pytest.raises(CapFault) as exc:
-            check_access(c, LD, 1)
+            check_access(c, LD, 1, c.address)
         assert exc.value.kind is FaultKind.BOUNDS
 
     def test_sealed_fault(self):
@@ -161,23 +161,25 @@ class TestCheckAccess:
     def test_bounds_fault_at_edge(self):
         c = set_address(cap(perms=LD), 0x1FF8)
         with pytest.raises(CapFault) as exc:
-            check_access(c, LD, 16)
+            check_access(c, LD, 16, c.address)
         assert exc.value.kind is FaultKind.BOUNDS
 
     def test_untagged_tag_fault(self):
+        c = untagged(cap())
         with pytest.raises(CapFault) as exc:
-            check_access(untagged(cap()), LD, 8)
+            check_access(c, LD, 8, c.address)
         assert exc.value.kind is FaultKind.TAG
 
     def test_sealed_seal_fault(self):
         sealed = seal_entry(make_root(0x1000, 0x100, EX))
         with pytest.raises(CapFault) as exc:
-            check_access(sealed, LD, 8)
+            check_access(sealed, LD, 8, sealed.address)
         assert exc.value.kind is FaultKind.SEAL
 
     def test_permission_fault(self):
+        c = cap(perms=LD)
         with pytest.raises(CapFault) as exc:
-            check_access(cap(perms=LD), ST, 8)
+            check_access(c, ST, 8, c.address)
         assert exc.value.kind is FaultKind.PERMISSION
 
     def test_fault_ordering(self):
@@ -186,17 +188,17 @@ class TestCheckAccess:
         sealed = seal_entry(make_root(0x1000, 0x100, EX))
         untagged_sealed_oob = untagged(sealed, address=0x9000)
         with pytest.raises(CapFault) as exc:
-            check_access(untagged_sealed_oob, ST, 8)
+            check_access(untagged_sealed_oob, ST, 8, untagged_sealed_oob.address)
         assert exc.value.kind is FaultKind.TAG
 
         sealed_oob = seal_entry(set_address(make_root(0x1000, 0x100, EX), 0x9000))
         with pytest.raises(CapFault) as exc:
-            check_access(sealed_oob, ST, 8)
+            check_access(sealed_oob, ST, 8, sealed_oob.address)
         assert exc.value.kind is FaultKind.SEAL
 
         no_perm_oob = set_address(make_root(0x1000, 0x100, LD), 0x9000)
         with pytest.raises(CapFault) as exc:
-            check_access(no_perm_oob, ST, 8)
+            check_access(no_perm_oob, ST, 8, no_perm_oob.address)
         assert exc.value.kind is FaultKind.PERMISSION
 
 
@@ -271,7 +273,7 @@ class TestCapIntOps:
         c = int64_to_capint(0x2000)
         assert not c.tag and c.address == 0x2000 and c.perms == PERM_NONE
         with pytest.raises(CapFault) as exc:
-            check_access(c, LD, 8)
+            check_access(c, LD, 8, c.address)
         assert exc.value.kind is FaultKind.TAG
 
     def test_round_trip_loses_tag(self):
@@ -360,7 +362,7 @@ def test_seal_mode_duality():
             assert not op().tag
         # in both modes the sealed original cannot be dereferenced
         with pytest.raises(CapFault) as exc:
-            check_access(c, LD, 1)
+            check_access(c, LD, 1, c.address)
         assert exc.value.kind is FaultKind.SEAL
 
 
@@ -414,8 +416,9 @@ def outcome(fn, *args):
 @given(any_caps(), st.sampled_from([LD, ST, EX, LD | ST]), st.integers(-2, 64), st.data())
 def test_check_access_at_address_matches_moved_capability(c, kind, size, data):
     a = data.draw(near(c))
+    moved = replace(c, address=a)
     assert outcome(check_access, c, kind, size, a) == \
-        outcome(check_access, replace(c, address=a), kind, size)
+        outcome(check_access, moved, kind, size, moved.address)
 
 
 WHOLE = make_root(0, ADDRESS_SPACE, LD)
@@ -437,7 +440,8 @@ WHOLE = make_root(0, ADDRESS_SPACE, LD)
 ])
 def test_check_access_edge_cases_match_moved_capability(c, kind, size, a, expected):
     got = outcome(check_access, c, kind, size, a)
-    assert got == outcome(check_access, replace(c, address=a), kind, size)
+    moved = replace(c, address=a)
+    assert got == outcome(check_access, moved, kind, size, moved.address)
     assert got[0] == {None: "ok", ValueError: "value"}.get(expected, "fault")
     if got[0] == "fault":
         assert got[1] is expected

@@ -9,7 +9,7 @@ from capsim.capability import (
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
 from capsim.scenarios import CATALOGUE, ScenarioConfig, run_scenario
-from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes
+from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes, insn_hash_int
 
 
 def _root():
@@ -55,7 +55,7 @@ REJECTIONS = {
     "fault-kind-as-check": (ValueError, lambda: CapFault(FaultKind.TAG)),
     # an access kind is a Perm, and a byte store writes bytes, never a list or a str
     "check-access-str-kind": (ValueError, lambda: check_access(
-        make_root(0, 16, Perm.LOAD), "r", 1)),
+        make_root(0, 16, Perm.LOAD), "r", 1, 0)),
     "store-bytes-list-payload": (ValueError, lambda: TaggedMemory(PAGE).store_bytes(
         _root(), 0, [1, 2])),
     "store-bytes-str-payload": (ValueError, lambda: TaggedMemory(PAGE).store_bytes(
@@ -79,6 +79,12 @@ REJECTIONS = {
         "abcdefgh", WordModel.EXACT64)),
     "bitmap-negative-size": (ValueError, lambda: MarkBitmap(-64, WordModel.EXACT64)),
     "stack-entry-kind": (ValueError, lambda: MiniVm().lay_out_stack([("bogus", 0)])),
+    # a stack is a list or tuple of (kind, value) pairs, and a VM routine
+    # reads a Capability, never a bare int
+    "stack-entries-none": (ValueError, lambda: MiniVm().lay_out_stack(None)),
+    "stack-entry-not-a-pair": (ValueError, lambda: MiniVm().lay_out_stack([1])),
+    "gc-mark-int": (ValueError, lambda: MiniVm().gc_mark(1, "fixed")),
+    "immediate-int": (ValueError, lambda: MiniVm().vm_immediate_p(1, "fixed")),
     "gc-mark-variant": (ValueError, lambda: MiniVm().gc_mark(
         int64_to_capint(MiniVm().object_addr(1)), "Fixed")),
     "immediate-variant": (ValueError, lambda: MiniVm().vm_immediate_p(
@@ -146,6 +152,9 @@ NUMERIC_ENTRY_POINTS = {
     "store_bytes-address": lambda v: TaggedMemory(PAGE).store_bytes(_root(), v, b"ab"),
     "load_bytes-address": lambda v: TaggedMemory(PAGE).load_bytes(_root(), v, 4),
     "load_bytes-size": lambda v: TaggedMemory(PAGE).load_bytes(_root(), 16, v),
+    # a direct check meets the same rule as the accessors, which leave it to check_access
+    "check_access-size": lambda v: check_access(_root(), Perm.LOAD, v, 16),
+    "check_access-address": lambda v: check_access(_root(), Perm.LOAD, 4, v),
     "granule_tag-address": lambda v: TaggedMemory(PAGE).granule_tag(v),
     "clear_granule_tag-address": lambda v: TaggedMemory(PAGE).clear_granule_tag(v),
     "bitmap-set": lambda v: MarkBitmap(128, WordModel.EXACT64).set(v),
@@ -153,6 +162,7 @@ NUMERIC_ENTRY_POINTS = {
     "bitmap-size": lambda v: MarkBitmap(v, WordModel.EXACT64),
     "int64_to_capint": int64_to_capint,
     "object_addr": lambda v: MiniVm().object_addr(v),
+    "insn_hash_int": insn_hash_int,
     "stack-int": lambda v: MiniVm().lay_out_stack([("int", v)]),
     "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),
     "seed-RunSpec": lambda v: RunSpec(seed=v),

@@ -154,6 +154,35 @@ def test_access_faults_at_the_first_failing_check_in_order(name, row):
     assert exc.value.check == check
 
 
+# An unaligned granule access on the same memory: its capability is checked
+# first, then its alignment, then the end of memory and the pages, as the
+# CHERI ISA orders them.  Every address lies 8 bytes past a granule boundary.
+UNALIGNED_ACCESSORS = {
+    "load_cap": (LD, lambda m, a, addr: m.load_cap(a, addr)),
+    "store_cap": (ST, lambda m, a, addr: m.store_cap(a, addr, make_root(0, 16, LD))),
+}
+# row -> (authority, access address, the check that fails)
+UNALIGNED = {
+    "untagged": (untagged(make_root(0, 4 * PAGE, LD | ST)), 0x18, "tag"),
+    "execute-only": (make_root(0, 4 * PAGE, Perm.EXECUTE), 0x18, "permission"),
+    "out-of-bounds": (make_root(0x1000, GRANULE, LD | ST), 0x1008, "bounds"),
+    "past-end": (make_root(0, 4 * PAGE, LD | ST), 2 * PAGE - 8, "alignment"),
+    "on-denying-page": (make_root(0, 4 * PAGE, LD | ST), PAGE + 8, "alignment"),
+}
+
+
+@pytest.mark.parametrize("row", UNALIGNED)
+@pytest.mark.parametrize("name", UNALIGNED_ACCESSORS)
+def test_unaligned_capability_access_checks_its_capability_first(name, row):
+    kind, access = UNALIGNED_ACCESSORS[name]
+    authority, addr, check = UNALIGNED[row]
+    mem = TaggedMemory(2 * PAGE)
+    mem.mprotect(PageProtRequest(PAGE, PAGE, PERM_ALL & ~kind))
+    with pytest.raises(CapFault) as exc:
+        access(mem, authority, addr)
+    assert exc.value.check == check
+
+
 # -- the pages and granules one access touches ------------------------------
 
 BYTE_ACCESSES = {

@@ -1,16 +1,18 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no public name only the tests reach, no module constant
-spelled twice, one random generator constructor, one int rule, one choice
-error, one fault wording, one outcome vocabulary.  A helper whose last
-caller goes must go with it, and so must a public function, method or
-class that nothing in the package, the demos or the benchmark names; a
-constant has one module that defines it; a VM's randomness comes from
-`MiniVm.rng`; "an int, not a bool" is spelled only in `check_int`; the
-error for a value outside a fixed set is worded only in `not_one_of`; a
-fault is raised with its check and operands, never its kind, and only
-`capability.FAULTS` pairs a check with its kind and wording; an outcome
-is an `OutcomeKind`, never a string tag; only the memory and the
-allocator's sweep know the tag side table's key format."""
+spelled twice, one random generator constructor, one int rule, one access
+check, one choice error, one fault wording, one outcome vocabulary.  A
+helper whose last caller goes must go with it, and so must a public
+function, method or class that nothing in the package, the demos or the
+benchmark names; a constant has one module that defines it; a VM's
+randomness comes from `MiniVm.rng`; "an int, not a bool" is spelled only
+in `check_int`; an access's operands are checked only by `check_access`,
+at an address its caller names; the error for a value outside a fixed
+set is worded only in `not_one_of`; a fault is raised with its check and
+operands, never its kind, and only `capability.FAULTS` pairs a check
+with its kind and wording; an outcome is an `OutcomeKind`, never a
+string tag; only the memory and the allocator's sweep know the tag side
+table's key format."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -145,6 +147,31 @@ def test_the_int_rule_is_spelled_once():
     tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
              for where in _bool_tests(tree)]
     assert tests == ["capability.py:check_int"]
+
+
+def _calls(node, name):
+    """Whether the tree under `node` calls the bare name `name`."""
+    return any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name
+               for sub in ast.walk(node))
+
+
+ACCESSORS = ("store_cap", "load_cap", "store_bytes", "load_bytes")
+
+
+def test_check_access_is_the_one_check_of_an_access():
+    # every access names its address, and check_access tests it and the
+    # size with the int rule, so no accessor calls check_int itself
+    check_access = next(node for node in TREES["capability.py"].body
+                        if isinstance(node, ast.FunctionDef) and node.name == "check_access")
+    assert [arg.arg for arg in check_access.args.args] == ["cap", "kind", "size", "address"]
+    assert not check_access.args.defaults
+    memory = next(node for node in TREES["memory.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "TaggedMemory")
+    accessors = {item.name: item for item in memory.body
+                 if isinstance(item, ast.FunctionDef) and item.name in ACCESSORS}
+    assert sorted(accessors) == sorted(ACCESSORS)
+    assert [name for name, item in accessors.items() if not _calls(item, "check_access")] == []
+    assert [name for name, item in accessors.items() if _calls(item, "check_int")] == []
 
 
 # the choice error's wording and the old wordings it replaced: only `not_one_of` holds one
