@@ -25,6 +25,9 @@ this write, after one O(log F) bisection of the F-entry free list.
 A size that fails `check_int` (not an int, or a `bool`) and a freed or
 resized value that is not a `Capability` raise `ValueError`, and an int
 size below one byte raises `AllocError`, all before the heap is touched.
+A memory that is not a `TaggedMemory`, and an arena that is not a tagged,
+unsealed, non-empty `Capability` with `ALIGN`-aligned bounds inside that
+memory, raise `ValueError` at construction.
 """
 from __future__ import annotations
 
@@ -79,10 +82,18 @@ def _coalesce(regions) -> list[tuple[int, int]]:
 
 class CapAllocator:
     def __init__(self, mem: TaggedMemory, arena: Capability):
+        if not (isinstance(mem, TaggedMemory) and isinstance(arena, Capability)):
+            raise ValueError(f"an allocator needs a TaggedMemory and a Capability arena,"
+                             f" not {mem!r} and {arena!r}")
+        base, top = arena.base, arena.top
+        if (not arena.tag or arena.seal is not _UNSEALED or top <= base
+                or base % ALIGN or top % ALIGN or top > mem.size):
+            raise ValueError(f"an allocator's arena must be tagged, unsealed, non-empty,"
+                             f" {ALIGN}-byte aligned and inside memory, not {arena!r}")
         self.mem = mem
         self.arena = arena
         self.live: dict[int, int] = {}
-        self.free_list: list[tuple[int, int]] = [(arena.base, arena.length)]
+        self.free_list: list[tuple[int, int]] = [(base, top - base)]
         self.quarantine: list[tuple[int, int]] = []
 
     # -- internal free-list management --------------------------------

@@ -12,22 +12,16 @@ its buggy variant must produce in each configuration as an
 opt-level dimensions apply follows from that outcome. `CATALOGUE`, the
 dict from id to `Scenario` record in registration order, is the only
 registry: the harness and the CLI derive everything from it, and a
-record's `expected(mode, cfg, given)` is the one expectation rule. A
-runner takes `(vm, mode, cfg)`, where `vm` is the fresh `MiniVm` that
+record's `expected(mode, cfg)` is the one expectation rule. A runner
+takes `(vm, mode, cfg)`, where `vm` is the fresh `MiniVm` that
 `run_scenario` builds per run, and returns `(kind, fault, expected,
 actual, detail)`; `run_scenario` adds the id, the mode and the
-applicable configuration.
-A record takes a caller's payload exactly when it has a `parse`
-function, which turns the payload into the runner's one extra input or
-raises `ValueError`; its runner gives that input a default. Each call of
-`run_scenario` parses the payload once. An optional `manifests(input)`
-predicate says whether the bug shows on a parsed input; without it the
-bug shows on every input.
+applicable configuration. Each scenario runs on its one built-in input,
+drawn from `vm.rng` or fixed in this module.
 """
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -35,7 +29,6 @@ from typing import Callable, Optional
 from .capability import (
     MASK64,
     SEAL_MODES,
-    VALUE_WIDTH,
     CapFault,
     FaultKind,
     Perm,
@@ -107,15 +100,11 @@ class ScenarioOutcome:
 @dataclass(frozen=True)
 class Scenario:
     """Everything known about one scenario. `buggy(cfg)` is the outcome
-    its buggy variant must produce in `cfg` on the default input:
-    `(OK, None)`, `(CORRUPT, None)` or `(FAULT, FaultKind)`, checked on
-    creation; the fixed variant is always Ok. `runner` is the registered
-    function. A record takes a payload only when it has `parse(payload)`,
-    which returns the runner's input; `manifests(input)` says whether the
-    bug shows on that input at all; where it does not, the buggy variant
-    is Ok too. A dimension applies (`seal_sensitive`, `opt_sensitive`)
-    when changing it alone changes what `buggy` returns; both are worked
-    out once, on creation."""
+    its buggy variant must produce in `cfg`: `(OK, None)`, `(CORRUPT,
+    None)` or `(FAULT, FaultKind)`, checked on creation; the fixed variant
+    is always Ok. `runner` is the registered function. A dimension applies
+    (`seal_sensitive`, `opt_sensitive`) when changing it alone changes
+    what `buggy` returns; both are worked out once, on creation."""
     sid: str
     name: str
     title: str
@@ -123,8 +112,6 @@ class Scenario:
     buggy_expectation: str
     buggy: Callable[[ScenarioConfig], tuple]
     runner: Callable[..., tuple]
-    parse: Optional[Callable[[object], object]] = None
-    manifests: Optional[Callable[[object], bool]] = None
     seal_sensitive: bool = field(init=False)
     opt_sensitive: bool = field(init=False)
 
@@ -136,24 +123,21 @@ class Scenario:
         object.__setattr__(self, "seal_sensitive", any(len(set(row)) > 1 for row in grid))
         object.__setattr__(self, "opt_sensitive", any(len(set(col)) > 1 for col in zip(*grid)))
 
-    def expected(self, mode: str, cfg: ScenarioConfig, given: tuple = ()) -> tuple:
+    def expected(self, mode: str, cfg: ScenarioConfig) -> tuple:
         """The outcome pair one cell must produce: `buggy(cfg)` for the buggy
-        variant where the bug shows on `given` (the parsed payload as a
-        tuple, `()` for the default input), else `(OK, None)`. The
-        arguments are taken as checked, as `run_scenario` checks them."""
-        shows = not given or self.manifests is None or self.manifests(*given)
-        return self.buggy(cfg) if mode == "buggy" and shows else _OK
+        variant, `(OK, None)` for the fixed one. The arguments are taken as
+        checked, as `run_scenario` checks them."""
+        return self.buggy(cfg) if mode == "buggy" else _OK
 
 
 CATALOGUE: dict[str, Scenario] = {}
 
 
-def scenario(sid, name, title, category, buggy_expectation, *, buggy,
-             parse=None, manifests=None):
+def scenario(sid, name, title, category, buggy_expectation, *, buggy):
     """Register the decorated runner as scenario `sid`."""
     def register(runner):
         CATALOGUE[sid] = Scenario(sid, name, title, category, buggy_expectation,
-                                  buggy, runner, parse, manifests)
+                                  buggy, runner)
         return runner
     return register
 
@@ -254,27 +238,10 @@ def _s3(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 DEFAULT_MARK_SET = {3, 70, 127}
 
 
-def _s4_marks(payload) -> set[int]:
-    # text, binary data and a mapping's keys are not a set of marks
-    if not isinstance(payload, Iterable) or isinstance(
-            payload, (str, bytes, bytearray, memoryview, Mapping)):
-        raise ValueError(f"S4 needs an iterable of ints, not {payload!r}")
-    nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
-    return {check_int(i, "S4 needs marks, each of which", 0, nbits) for i in payload}
-
-
-def _s4_manifests(marks: set[int]) -> bool:
-    """Some mark lands in a padding bit of the buggy model's word."""
-    stride = _WORD_MODEL["buggy"].storage_bits
-    return any(i % stride >= VALUE_WIDTH for i in marks)
-
-
 @scenario("S4", "bitmap_padding", "mark bitmap indexed over padding bits",
-          "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT,
-          parse=_s4_marks, manifests=_s4_manifests)
-def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig, marks: set[int] | None = None) -> tuple:
-    if marks is None:  # drawn from the VM's rng, so only once the VM exists
-        marks = DEFAULT_MARK_SET | set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
+          "integer padding", "Corrupt (dropped bits)", buggy=lambda cfg: _CORRUPT)
+def _s4(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
+    marks = DEFAULT_MARK_SET | set(vm.rng.sample(range(HEAP_PAGE_BYTES // OBJECT_SLOT), 8))
     bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, _WORD_MODEL[mode])
     for i in sorted(marks):
         bitmap.set(i)
@@ -311,33 +278,11 @@ def _s5(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 DEFAULT_S6_TEXT = "héllo wörld, naïve café, héllo wörld!"
 
 
-def _s6_bytes(payload) -> bytes:
-    if isinstance(payload, str):
-        raw = payload.encode()
-    elif isinstance(payload, (bytes, bytearray, memoryview)):
-        raw = bytes(payload)
-    else:
-        raise ValueError(f"S6 needs a str or bytes-like payload, not {payload!r}")
-    if not raw:
-        raise ValueError("S6 needs a non-empty text payload")
-    return raw
-
-
-def _s6_manifests(raw: bytes) -> bool:
-    """Some lead byte sits in the padding half of a buggy-model word."""
-    stride = _WORD_MODEL["buggy"].storage_bytes
-    buf = pad_utf8(raw, stride)
-    return any(utf8_lead_oracle(buf[off + VALUE_WIDTH // 8:off + stride])
-               for off in range(0, len(buf), stride))
-
-
 @scenario("S6", "utf8_count", "word-parallel UTF-8 count over padded words",
-          "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT,
-          parse=_s6_bytes, manifests=_s6_manifests)
-def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig,
-        raw: bytes = DEFAULT_S6_TEXT.encode()) -> tuple:
+          "integer padding", "Corrupt (undercount)", buggy=lambda cfg: _CORRUPT)
+def _s6(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     model = _WORD_MODEL[mode]
-    buf = pad_utf8(raw, model.storage_bytes)
+    buf = pad_utf8(DEFAULT_S6_TEXT.encode(), model.storage_bytes)
     chunk = vm.alloc.malloc(len(buf))
     vm.mem.store_bytes(chunk, chunk.base, buf)
     stored = vm.mem.load_bytes(chunk, chunk.base, len(buf))
@@ -387,14 +332,11 @@ def _s7(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
 
 # -- S8: hashing a sealed dispatch-table capability ---------------------
 
-def _s8_address(payload) -> int:
-    return check_int(payload, "S8 needs an address, which", 0, 1 << 64)
-
-
 @scenario("S8", "insn_hash", "hashing a sealed dispatch capability",
           "sealed capability", "SealFault (fault mode) / Ok (invalidate mode)",
-          buggy=_seal_fault_in_fault_mode, parse=_s8_address)
-def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig, addr: int = CODE_BASE + 0x40) -> tuple:
+          buggy=_seal_fault_in_fault_mode)
+def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
+    addr = CODE_BASE + 0x40
     dispatch = vm.return_address(addr)  # sealed entry, like any code pointer
     oracle = insn_hash_int(addr)
     if mode == "buggy":
@@ -502,13 +444,10 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def run_scenario(sid: str, mode: str,
-                 config: ScenarioConfig | None = None,
-                 payload=None) -> ScenarioOutcome:
+def run_scenario(sid: str, mode: str, config: ScenarioConfig | None = None) -> ScenarioOutcome:
     """Run one scenario variant on a fresh simulator instance.  `config`
-    `None` means the default and `payload` `None` the default input; an
-    unknown id or mode, a config that is not a `ScenarioConfig` and a
-    payload the record does not take raise `ValueError`."""
+    `None` means the default; an unknown id or mode and a config that is
+    not a `ScenarioConfig` raise `ValueError`."""
     if not (isinstance(sid, str) and sid in CATALOGUE):
         raise not_one_of("scenario id", tuple(CATALOGUE), sid)
     if mode not in MODES:
@@ -517,13 +456,10 @@ def run_scenario(sid: str, mode: str,
     if not isinstance(cfg, ScenarioConfig):
         raise ValueError(f"config must be a ScenarioConfig or None, not {config!r}")
     record = CATALOGUE[sid]
-    if payload is not None and record.parse is None:
-        raise ValueError(f"{sid} needs no payload, not {payload!r}")
-    given = () if payload is None else (record.parse(payload),)
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode._value_ if record.seal_sensitive else None,
                            cfg.opt_level if record.opt_sensitive else None,
-                           *record.runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg, *given))
+                           *record.runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg))
 
 
 def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:

@@ -294,7 +294,10 @@ class MiniVm:
         bottom.  The scan pointer, moved to `top` from `through` (by default
         the stack capability, whose bounds cover the whole stack), is the one
         capability derived; each load names its slot's address and is
-        checked there."""
+        checked there.  A `through` that is neither `None` nor a
+        `Capability` raises `ValueError` at the first value."""
+        if through is not None and not isinstance(through, Capability):
+            raise ValueError(f"stack_values scans through a Capability, not {through!r}")
         scan = set_address(self.stack_cap if through is None else through, top, self.seal_mode)
         for addr in range(scan.address, self.stack_bottom, STACK_SLOT):
             yield self.mem.load_cap(scan, addr)

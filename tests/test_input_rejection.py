@@ -8,8 +8,9 @@ from capsim.capability import (
 )
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
-from capsim.scenarios import CATALOGUE, ScenarioConfig, run_scenario
-from capsim.vm import MarkBitmap, MiniVm, count_utf8_lead_bytes, insn_hash_int
+from capsim.scenarios import ScenarioConfig, run_scenario
+from capsim.vm import STACK_BASE, MarkBitmap, MiniVm, count_utf8_lead_bytes, insn_hash_int
+from helpers import untagged
 
 
 def _root():
@@ -26,6 +27,22 @@ def _binop_on_a_return_address(vm):
 
 REJECTIONS = {
     "malloc-0": (AllocError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).malloc(0)),
+    # an allocator is built on a memory and an arena it can carve whole,
+    # aligned blocks from, never on a value read for its fields
+    "allocator-int-memory": (ValueError, lambda: CapAllocator(5, _root())),
+    "allocator-int-arena": (ValueError, lambda: CapAllocator(TaggedMemory(PAGE), 5)),
+    "allocator-untagged-arena": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), untagged(_root()))),
+    "allocator-sealed-arena": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), seal_entry(make_root(0, PAGE, Perm.LOAD | Perm.EXECUTE)))),
+    "allocator-empty-arena": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), make_root(0x100, 0, Perm.LOAD | Perm.STORE))),
+    "allocator-unaligned-arena-base": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), make_root(8, 256, Perm.LOAD | Perm.STORE))),
+    "allocator-unaligned-arena-top": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), make_root(0, 250, Perm.LOAD | Perm.STORE))),
+    "allocator-arena-past-memory": (ValueError, lambda: CapAllocator(
+        TaggedMemory(PAGE), make_root(0, 2 * PAGE, Perm.LOAD | Perm.STORE))),
     # only a Capability is freed or resized, never a value read for its fields
     "free-str": (ValueError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).free("x")),
     "realloc-none": (ValueError, lambda: CapAllocator(TaggedMemory(PAGE), _root()).realloc(
@@ -84,6 +101,8 @@ REJECTIONS = {
     "stack-entries-none": (ValueError, lambda: MiniVm().lay_out_stack(None)),
     "stack-entry-not-a-pair": (ValueError, lambda: MiniVm().lay_out_stack([1])),
     "gc-mark-int": (ValueError, lambda: MiniVm().gc_mark(1, "fixed")),
+    "stack-values-through-int": (ValueError, lambda: next(MiniVm().stack_values(
+        STACK_BASE, 5))),
     "immediate-int": (ValueError, lambda: MiniVm().vm_immediate_p(1, "fixed")),
     "gc-mark-variant": (ValueError, lambda: MiniVm().gc_mark(
         int64_to_capint(MiniVm().object_addr(1)), "Fixed")),
@@ -167,9 +186,6 @@ NUMERIC_ENTRY_POINTS = {
     "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),
     "seed-RunSpec": lambda v: RunSpec(seed=v),
     "seed-MiniVm": lambda v: MiniVm(seed=v),
-    "S4-mark": lambda v: run_scenario("S4", "fixed", payload=[v]),
-    # the record's parser: run_scenario reads a None payload as no payload
-    "S8-address": CATALOGUE["S8"].parse,
 }
 
 

@@ -1,14 +1,12 @@
-import dataclasses
 import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from capsim.capability import FaultKind, SealMode
 from capsim.harness import RunSpec, _configs_for
-from capsim.vm import CODE_BASE, HEAP_PAGE_BYTES, OBJECT_SLOT, MiniVm, SymbolEntry
+from capsim.vm import CODE_BASE, MiniVm, SymbolEntry
 from capsim import scenarios
 from capsim.scenarios import (
     CATALOGUE,
@@ -19,7 +17,6 @@ from capsim.scenarios import (
     run_scenario,
     scenario,
 )
-from helpers import expected
 
 FAULT = ScenarioConfig(seal_mode=SealMode.FAULT_ON_MODIFY)
 INVALIDATE = ScenarioConfig(seal_mode=SealMode.INVALIDATE_ON_MODIFY)
@@ -116,15 +113,17 @@ def test_s3_buggy_bounds_fault():
 
 
 def test_s4_buggy_drops_high_offsets():
-    out = run_scenario("S4", "buggy", payload={3, 70, 127})
+    # seed 0 draws 8 marks beside the fixed 3, 70 and 127; the padded
+    # bitmap keeps only those in the low 64 bits of its one 128-bit word
+    out = run_scenario("S4", "buggy")
     assert out.kind is OutcomeKind.CORRUPT
-    assert out.expected == str([3, 70, 127])
-    assert out.actual == str([3])
+    assert out.expected == str([3, 10, 66, 70, 77, 98, 103, 107, 122, 124, 127])
+    assert out.actual == str([3, 10])
 
 
 def test_s4_fixed_matches_oracle():
-    out = run_scenario("S4", "fixed", payload={3, 70, 127})
-    assert out.kind is OutcomeKind.OK
+    out = run_scenario("S4", "fixed")
+    assert out.kind is OutcomeKind.OK and out.detail == "11 bits set and read back"
 
 
 def test_s5_buggy_shape_reads_back_zero():
@@ -132,69 +131,10 @@ def test_s5_buggy_shape_reads_back_zero():
     assert out.kind is OutcomeKind.CORRUPT and out.actual == "0"
 
 
-def test_s6_fixed_hello_counts_5():
-    out = run_scenario("S6", "fixed", payload="héllo")
-    assert out.kind is OutcomeKind.OK and "counted 5" in out.detail
-
-
-@pytest.mark.parametrize("payload", ["", b""], ids=["str", "bytes"])
-def test_s6_rejects_an_empty_payload(payload):
-    with pytest.raises(ValueError):
-        run_scenario("S6", "fixed", payload=payload)
-
-
-# a payload of the wrong type, for each scenario that takes one, and any
-# payload for a scenario that takes none
-MALFORMED_PAYLOADS = {
-    "S1-list": ("S1", "buggy", [1, 2]),
-    "S9-str": ("S9", "fixed", "x"),
-    "S4-str": ("S4", "fixed", "ab"),
-    "S4-empty-str": ("S4", "fixed", ""),
-    "S4-float-item": ("S4", "buggy", [1.5]),
-    "S4-bool-item": ("S4", "buggy", [True]),
-    "S4-int": ("S4", "fixed", 5),
-    "S4-past-the-page": ("S4", "buggy", [200]),
-    "S4-negative": ("S4", "buggy", [-1]),
-    "S4-bytes": ("S4", "buggy", b"\x03F"),
-    "S4-bytearray": ("S4", "buggy", bytearray(b"\x03F")),
-    "S4-dict": ("S4", "buggy", {3: "a", 70: "b"}),
-    "S4-memoryview": ("S4", "buggy", memoryview(b"\x03F")),
-    "S6-int": ("S6", "fixed", 123),
-    "S6-list": ("S6", "fixed", [104, 105]),
-    "S8-str": ("S8", "buggy", "abc"),
-    "S8-float": ("S8", "fixed", 4096.0),
-    "S8-bool": ("S8", "buggy", True),
-    "S8-negative": ("S8", "fixed", -1),
-    "S8-2**64": ("S8", "fixed", 1 << 64),
-    "S8-2**70": ("S8", "fixed", 1 << 70),
-}
-
-
-@pytest.mark.parametrize("sid, mode, payload", MALFORMED_PAYLOADS.values(),
-                         ids=MALFORMED_PAYLOADS)
-def test_malformed_payload_raises_value_error(sid, mode, payload):
-    with pytest.raises(ValueError, match=f"^{sid} needs"):
-        run_scenario(sid, mode, payload=payload)
-
-
-def test_a_payload_is_parsed_once_per_call(monkeypatch):
-    record = CATALOGUE["S4"]
-    parsed, manifested = [], []
-
-    def counting(payload):
-        parsed.append(payload)
-        return record.parse(payload)
-
-    def manifests(marks):
-        manifested.append(marks)
-        return record.manifests(marks)
-
-    monkeypatch.setitem(CATALOGUE, "S4", dataclasses.replace(
-        record, parse=counting, manifests=manifests))
-    assert run_scenario("S4", "buggy", None, [70, 3]).kind is OutcomeKind.CORRUPT
-    assert parsed == [[70, 3]] and manifested == []
-    assert expected("S4", "buggy", None, (70, 3)) == (OutcomeKind.CORRUPT, None)
-    assert parsed == [[70, 3], (70, 3)] and manifested == [{3, 70}]
+def test_s6_fixed_counts_one_lead_byte_per_character():
+    out = run_scenario("S6", "fixed")
+    assert len(scenarios.DEFAULT_S6_TEXT) == 37
+    assert out.kind is OutcomeKind.OK and out.detail == "counted 37 lead bytes"
 
 
 @pytest.mark.parametrize("config", [{}, 0, "x", SealMode.FAULT_ON_MODIFY],
@@ -244,18 +184,10 @@ def test_s7_a_symbol_ending_at_the_traced_address_does_not_hold_it(monkeypatch, 
     assert out.kind is OutcomeKind.OK and out.detail == "symbol at"
 
 
-def test_s4_marks_stop_below_the_bitmap_size():
-    nbits = HEAP_PAGE_BYTES // OBJECT_SLOT
-    assert expected("S4", "buggy", None, [nbits - 1]) == (OutcomeKind.CORRUPT, None)
-    assert expected("S4", "fixed", None, [nbits - 1]) == (OutcomeKind.OK, None)
-    for mode in MODES:
-        with pytest.raises(ValueError, match="S4 needs marks"):
-            run_scenario("S4", mode, None, [nbits])
-
-
 def test_s8_spot_hash():
-    out = run_scenario("S8", "fixed", payload=0x1000)
-    assert out.kind is OutcomeKind.OK and "0x8202" in out.detail
+    # S8 hashes the dispatch entry at CODE_BASE + 0x40 = 0x1040
+    out = run_scenario("S8", "fixed")
+    assert out.kind is OutcomeKind.OK and out.detail == "hash 0x800a"
 
 
 def test_s8_invalidate_mode_hash_matches_fixed():
@@ -327,37 +259,6 @@ def test_conservatism_gap():
     fixed = run_scenario("S2", "fixed")
     assert buggy.kind is OutcomeKind.FAULT
     assert fixed.kind is OutcomeKind.OK and "unmarked" in fixed.detail
-
-
-PAYLOADS = {
-    "S4": st.one_of(st.sets(st.integers(0, 127)), st.lists(st.integers(0, 127)),
-                    st.frozensets(st.integers(0, 127)).map(tuple)),
-    "S6": st.one_of(st.text(min_size=1), st.binary(min_size=1),
-                    st.binary(min_size=1).map(bytearray)),
-    "S8": st.integers(0, (1 << 64) - 1),
-}
-
-
-# st.text() builds Hypothesis's character cache on first use, which a fresh
-# checkout (no .hypothesis/ directory) counts as slow input generation.
-@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(PAYLOADS)).flatmap(
-           lambda sid: st.tuples(st.just(sid), PAYLOADS[sid])),
-       st.sampled_from(MODES), st.sampled_from(list(SealMode)))
-@example(("S4", {1, 2}), "buggy", SealMode.FAULT_ON_MODIFY)  # Ok: no mark in padding
-@example(("S6", "abc"), "buggy", SealMode.FAULT_ON_MODIFY)  # Ok: no lead byte in padding
-@example(("S4", [63]), "buggy", SealMode.FAULT_ON_MODIFY)
-@example(("S4", [64]), "buggy", SealMode.FAULT_ON_MODIFY)
-@example(("S6", "abcdefgh"), "buggy", SealMode.FAULT_ON_MODIFY)
-@example(("S6", "abcdefghi"), "buggy", SealMode.FAULT_ON_MODIFY)
-@example(("S4", range(60, 70)), "buggy", SealMode.FAULT_ON_MODIFY)
-@example(("S8", 0), "fixed", SealMode.FAULT_ON_MODIFY)
-@example(("S8", (1 << 64) - 1), "fixed", SealMode.INVALIDATE_ON_MODIFY)
-def test_every_accepted_payload_meets_its_expectation(case, mode, seal):
-    sid, payload = case
-    cfg = ScenarioConfig(seal_mode=seal)
-    out = run_scenario(sid, mode, cfg, payload)
-    assert outcome_matches(out, expected(sid, mode, cfg, payload)), out
 
 
 def test_catalogue_complete():

@@ -12,7 +12,8 @@ set is worded only in `not_one_of`; a fault is raised with its check and
 operands, never its kind, and only `capability.FAULTS` pairs a check
 with its kind and wording; an outcome is an `OutcomeKind`, never a
 string tag; only the memory and the allocator's sweep know the tag side
-table's key format."""
+table's key format; a scenario runs on its one built-in input, so every
+runner takes `(vm, mode, cfg)` and `run_scenario` `(sid, mode, config)`."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -334,3 +335,25 @@ def test_every_public_name_is_reached_outside_the_tests():
                        if name not in referenced)
     assert unreached == sorted(REACHED_ONLY_BY_TESTS), \
         "delete what only the tests reach, or say in REACHED_ONLY_BY_TESTS why it stays"
+
+
+def _parameters(function):
+    """The name of each parameter of the `ast.FunctionDef` `function`, in order."""
+    args = function.args
+    return [arg.arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                *args.kwonlyargs, args.kwarg) if arg is not None]
+
+
+def test_every_scenario_runs_on_its_one_built_in_input():
+    # an input of one scenario's own would be a second path that only a
+    # caller passing it reaches
+    functions = {node.name: node for node in TREES["scenarios.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    runners = [name for name, function in functions.items()
+               if any(isinstance(decorator, ast.Call)
+                      and getattr(decorator.func, "id", None) == "scenario"
+                      for decorator in function.decorator_list)]
+    assert len(runners) == 12
+    wanted = {**dict.fromkeys(runners, ["vm", "mode", "cfg"]),
+              "run_scenario": ["sid", "mode", "config"]}
+    assert {name: _parameters(functions[name]) for name in wanted} == wanted

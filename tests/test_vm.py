@@ -2,7 +2,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capsim.allocator import AllocError
 from capsim.capability import (
@@ -11,7 +11,6 @@ from capsim.capability import (
     Perm,
     SealMode,
     WordModel,
-    capint_to_int64,
     int64_to_capint,
     make_root,
     restrict_perms,
@@ -110,8 +109,10 @@ class TestMarkBitmap:
 
     def test_padded_restricted_oracle_property(self):
         rng = random.Random(11)
-        for _ in range(200):
-            marks = set(rng.sample(range(512), rng.randrange(1, 40)))
+        # marks 63 and 64 sit on either side of a word's padding boundary
+        cases = [{63}, {64}, set(range(60, 70))]
+        cases += [set(rng.sample(range(512), rng.randrange(1, 40))) for _ in range(200)]
+        for marks in cases:
             bm = MarkBitmap(512, WordModel.PADDED_CAP)
             for i in marks:
                 bm.set(i)
@@ -158,8 +159,11 @@ class TestUtf8Count:
 
     def test_padded_counts_only_low_half_words(self):
         rng = random.Random(14)
-        for _ in range(300):
-            raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 256)))
+        # 8 bytes fill a word's data half, and a 9th lands in its padding
+        cases = [b"abcdefgh", b"abcdefghi"]
+        cases += [bytes(rng.randrange(256) for _ in range(rng.randrange(0, 256)))
+                  for _ in range(300)]
+        for raw in cases:
             buf = pad_utf8(raw, 16)
             skipped_half = bytes(b for i, b in enumerate(buf) if i % 16 < 8)
             assert count_utf8_lead_bytes(buf, WordModel.PADDED_CAP) \
@@ -186,18 +190,24 @@ class TestInsnHash:
     def test_spot_value(self):
         assert insn_hash_int(0x1000) == 0x8202
 
-    def test_capint_path_equals_int_path(self):
-        vm = MiniVm(SealMode.INVALIDATE_ON_MODIFY)
-        for addr in (0x1000, 0x1040, 0x1FF8):
-            sealed = vm.return_address(addr)
-            h = insn_hash_capint(sealed, SealMode.INVALIDATE_ON_MODIFY)
-            assert h.address == insn_hash_int(capint_to_int64(sealed))
-
-    def test_sealed_fault_mode(self):
-        vm = MiniVm(SealMode.FAULT_ON_MODIFY)
-        with pytest.raises(CapFault) as exc:
-            insn_hash_capint(vm.return_address(0x1000), SealMode.FAULT_ON_MODIFY)
-        assert exc.value.kind is FaultKind.SEAL
+    @settings(max_examples=300)
+    @given(st.integers(0, (1 << 64) - 1), st.sampled_from(list(SealMode)))
+    @example(0x1000, SealMode.INVALIDATE_ON_MODIFY)
+    @example(0x1040, SealMode.INVALIDATE_ON_MODIFY)
+    @example(0x1FF8, SealMode.INVALIDATE_ON_MODIFY)
+    @example(0x1000, SealMode.FAULT_ON_MODIFY)
+    @example(0, SealMode.FAULT_ON_MODIFY)
+    @example((1 << 64) - 1, SealMode.INVALIDATE_ON_MODIFY)
+    def test_capint_path_equals_int_path(self, addr, seal):
+        """The hash of a sealed return address is the plain hash of its
+        address under invalidate, and a seal fault under fault."""
+        sealed = MiniVm(seal).return_address(addr)
+        if seal is SealMode.INVALIDATE_ON_MODIFY:
+            assert insn_hash_capint(sealed, seal).address == insn_hash_int(addr)
+        else:
+            with pytest.raises(CapFault) as exc:
+                insn_hash_capint(sealed, seal)
+            assert exc.value.kind is FaultKind.SEAL
 
 
 def test_object_refs_have_page_wide_bounds():
