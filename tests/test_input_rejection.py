@@ -183,6 +183,12 @@ NUMERIC_ENTRY_POINTS = {
     "object_addr": lambda v: MiniVm().object_addr(v),
     "insn_hash_int": insn_hash_int,
     "stack-int": lambda v: MiniVm().lay_out_stack([("int", v)]),
+    # a code or stack address, or an object index, enters the VM here now
+    # that no scenario takes an input of its own
+    "stack-ref": lambda v: MiniVm().lay_out_stack([("ref", v)]),
+    "stack-ret": lambda v: MiniVm().lay_out_stack([("ret", v)]),
+    "return_address": lambda v: MiniVm().return_address(v),
+    "stack_values-top": lambda v: list(MiniVm().stack_values(v)),
     "seed-ScenarioConfig": lambda v: ScenarioConfig(seed=v),
     "seed-RunSpec": lambda v: RunSpec(seed=v),
     "seed-MiniVm": lambda v: MiniVm(seed=v),

@@ -190,6 +190,12 @@ class TestInsnHash:
     def test_spot_value(self):
         assert insn_hash_int(0x1000) == 0x8202
 
+    def test_sealed_fault_mode(self):
+        vm = MiniVm(SealMode.FAULT_ON_MODIFY)
+        with pytest.raises(CapFault) as exc:
+            insn_hash_capint(vm.return_address(0x1000), SealMode.FAULT_ON_MODIFY)
+        assert exc.value.kind is FaultKind.SEAL
+
     @settings(max_examples=300)
     @given(st.integers(0, (1 << 64) - 1), st.sampled_from(list(SealMode)))
     @example(0x1000, SealMode.INVALIDATE_ON_MODIFY)
