@@ -352,16 +352,14 @@ _BINOPS = {
 
 
 def capint_binop(lhs, rhs, op: str,
-                 mode: SealMode = SealMode.FAULT_ON_MODIFY,
-                 advisories: list | None = None) -> CapInt:
+                 mode: SealMode = SealMode.FAULT_ON_MODIFY) -> CapInt:
     """Binary operation on capability-typed integers.
 
     At least one operand must be a capability; the result inherits that
-    operand's metadata (the left one when both are capabilities, which
-    also records an "ambiguous-provenance" advisory).  Producing the
-    result modifies the address of the inherited capability, so a sealed
-    source follows the seal-semantics mode.  A non-capability operand
-    must pass `check_int` (an int, not a bool).  A call with no
+    operand's metadata, the left one's when both are capabilities.
+    Producing the result modifies the address of the inherited capability,
+    so a sealed source follows the seal-semantics mode.  A non-capability
+    operand must pass `check_int` (an int, not a bool).  A call with no
     capability operand, a non-capability operand that fails `check_int`
     and an `op` that is not one of the `_BINOPS` names raise `ValueError`.
 
@@ -372,8 +370,6 @@ def capint_binop(lhs, rhs, op: str,
     if not (lcap or rcap):
         raise ValueError("at least one operand must be a capability-typed integer")
     source = lhs if lcap else rhs
-    if lcap and rcap and advisories is not None:
-        advisories.append("ambiguous-provenance")
 
     fn = _BINOPS.get(op) if isinstance(op, str) else None
     if fn is None:

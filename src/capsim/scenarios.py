@@ -341,7 +341,7 @@ def _s8(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
     oracle = insn_hash_int(addr)
     if mode == "buggy":
         try:
-            h = insn_hash_capint(dispatch, vm.seal_mode, vm.advisories)
+            h = insn_hash_capint(dispatch, vm.seal_mode)
         except CapFault as f:
             return _fault(f, "hash of sealed dispatch capability")
         got = h.address

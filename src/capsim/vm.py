@@ -174,19 +174,18 @@ def insn_hash_int(n: int) -> int:
     return (((n >> s1) | ((n << s2) & MASK64)) ^ (n >> s2)) & MASK64
 
 
-def insn_hash_capint(n: CapInt, mode: SealMode,
-                     advisories: list | None = None) -> CapInt:
+def insn_hash_capint(n: CapInt, mode: SealMode) -> CapInt:
     """The same hash routed through capability-typed-integer arithmetic.
 
     Every step modifies the address of a temporary derived from `n`, so
     a sealed input hits the seal-semantics mode at the first shift.
     """
     s1, s2 = _HASH_SHIFTS
-    a = capint_binop(n, s1, "shr", mode, advisories)
-    b = capint_binop(n, s2, "shl", mode, advisories)
-    c = capint_binop(a, b, "or", mode, advisories)
-    d = capint_binop(n, s2, "shr", mode, advisories)
-    return capint_binop(c, d, "xor", mode, advisories)
+    a = capint_binop(n, s1, "shr", mode)
+    b = capint_binop(n, s2, "shl", mode)
+    c = capint_binop(a, b, "or", mode)
+    d = capint_binop(n, s2, "shr", mode)
+    return capint_binop(c, d, "xor", mode)
 
 
 class MiniVm:
@@ -198,8 +197,8 @@ class MiniVm:
     allocator's arena is the rest of the heap, so its first allocation
     lands at `HEAP_BASE + HEAP_PAGE_BYTES`, and memory ends where the
     heap ends.  Each instance owns only its mutable state: the tagged
-    memory, the allocator, the mark bitmap and the advisories.  The code,
-    stack, heap-page and arena roots are class attributes built once; a
+    memory, the allocator and the mark bitmap.  The code, stack,
+    heap-page and arena roots are class attributes built once; a
     Capability is an immutable value, so every instance shares them.
     `rng` is seeded from `seed` on the first draw, so an instance that
     never draws builds no random generator.  A `seal_mode` not in
@@ -217,7 +216,6 @@ class MiniVm:
         if seal_mode not in SEAL_MODES:
             raise not_one_of("seal mode", SEAL_MODES, seal_mode)
         self.seal_mode = seal_mode
-        self.advisories: list[str] = []
         self.mem = TaggedMemory(MEM_SIZE)
         self.alloc = CapAllocator(self.mem, self.arena_cap)
         self.bitmap = MarkBitmap(HEAP_PAGE_BYTES // OBJECT_SLOT, WordModel.EXACT64)
@@ -233,7 +231,7 @@ class MiniVm:
         return self._rng
 
     def binop(self, lhs, rhs, op: str) -> CapInt:
-        return capint_binop(lhs, rhs, op, self.seal_mode, self.advisories)
+        return capint_binop(lhs, rhs, op, self.seal_mode)
 
     # -- value constructors -------------------------------------------
 
@@ -294,8 +292,10 @@ class MiniVm:
         bottom.  The scan pointer, moved to `top` from `through` (by default
         the stack capability, whose bounds cover the whole stack), is the one
         capability derived; each load names its slot's address and is
-        checked there.  A `through` that is neither `None` nor a
-        `Capability` raises `ValueError` at the first value."""
+        checked there.  It is a generator: the call checks nothing, and each
+        input error is raised at the first `next()`.  A `through` that is
+        neither `None` nor a `Capability`, or a `top` that fails `check_int`,
+        raises `ValueError`; a sealed `through` follows the seal mode."""
         if through is not None and not isinstance(through, Capability):
             raise ValueError(f"stack_values scans through a Capability, not {through!r}")
         scan = set_address(self.stack_cap if through is None else through, top, self.seal_mode)

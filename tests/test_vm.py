@@ -257,6 +257,25 @@ def test_stack_values_yields_each_slot_from_top_to_bottom():
     assert list(vm.stack_values(vm.stack_bottom)) == []
 
 
+SEALED_STACK = seal_entry(make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.EXECUTE))
+
+
+@pytest.mark.parametrize("top, through, error, message", [
+    (None, 1, ValueError, "scans through a Capability"),
+    ("x", None, ValueError, "address must be an int"),
+    (True, None, ValueError, "address must be an int"),
+    (None, SEALED_STACK, CapFault, "seal fault"),
+], ids=["through-int", "top-str", "top-bool", "through-sealed"])
+def test_stack_values_raises_its_input_errors_at_the_first_next(top, through, error, message):
+    """`stack_values` is a generator: the call returns without checking, and
+    the first `next()` raises."""
+    vm = MiniVm(SealMode.FAULT_ON_MODIFY)
+    slots = vm.lay_out_stack([("int", 1)])
+    values = vm.stack_values(slots if top is None else top, through)
+    with pytest.raises(error, match=message):
+        next(values)
+
+
 def _moving_scan(vm, top, through):
     """Reference stack scan: a pointer moved one slot at a time with
     `set_address`, each load at the pointer's own address."""
@@ -314,25 +333,24 @@ def test_stack_values_matches_a_scan_that_moves_its_pointer(seal, entries, throu
 
 
 def test_vms_built_in_a_row_share_no_mutable_state():
-    """Only the immutable roots are shared: stores, allocations, marks and
-    advisories made in one VM never show in the next."""
+    """Only the immutable roots are shared: stores, allocations and marks
+    made in one VM never show in the next."""
     used, fresh = MiniVm(SealMode.INVALIDATE_ON_MODIFY), MiniVm(SealMode.INVALIDATE_ON_MODIFY)
     assert (used.code_cap, used.stack_cap, used.heap_page, used.arena_cap) \
         == (fresh.code_cap, fresh.stack_cap, fresh.heap_page, fresh.arena_cap)
     alloc = fresh.alloc
-    before = (dict(alloc.live), alloc.free_list[:], fresh.bitmap.words[:], fresh.advisories[:])
+    before = (dict(alloc.live), alloc.free_list[:], fresh.bitmap.words[:])
 
     top = used.lay_out_stack([("ref", 3), ("int", 0x1234)])
     chunk = used.alloc.malloc(64)
     used.mem.store_bytes(chunk, chunk.base, b"\xab" * 64)
     used.gc_mark(used.object_ref(5), "fixed")
-    insn_hash_capint(used.return_address(0x1000), used.seal_mode, used.advisories)
-    assert used.advisories and used.bitmap.bits() == {5}
+    assert used.bitmap.bits() == {5}
 
     assert list(fresh.mem.iter_tagged()) == []
     assert [v.address for v in fresh.stack_values(top)] == [0, 0]
     assert fresh.mem.load_bytes(fresh.arena_cap, chunk.base, 64) == bytes(64)
-    assert (alloc.live, alloc.free_list, fresh.bitmap.words, fresh.advisories) == before
+    assert (alloc.live, alloc.free_list, fresh.bitmap.words) == before
     assert alloc.malloc(64) == chunk
 
 
