@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .capability import _UNSEALED, Capability, check_int, set_address, set_bounds
+from .capability import _UNSEALED, Capability, check_int, not_a, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
@@ -82,9 +82,10 @@ def _coalesce(regions) -> list[tuple[int, int]]:
 
 class CapAllocator:
     def __init__(self, mem: TaggedMemory, arena: Capability):
-        if not (isinstance(mem, TaggedMemory) and isinstance(arena, Capability)):
-            raise ValueError(f"an allocator needs a TaggedMemory and a Capability arena,"
-                             f" not {mem!r} and {arena!r}")
+        if not isinstance(mem, TaggedMemory):
+            raise not_a("allocator memory", TaggedMemory, mem)
+        if not isinstance(arena, Capability):
+            raise not_a("allocator arena", Capability, arena)
         base, top = arena.base, arena.top
         if (not arena.tag or arena.seal is not _UNSEALED or top <= base
                 or base % ALIGN or top % ALIGN or top > mem.size):
@@ -117,7 +118,7 @@ class CapAllocator:
         permissions, at any address.  A value that is not a `Capability`
         raises ValueError."""
         if not isinstance(cap, Capability):
-            raise ValueError(f"{what} needs a Capability, not {cap!r}")
+            raise not_a(f"{what}'s operand", Capability, cap)
         size = self.live.get(cap.base)
         if (size != cap.top - cap.base or not cap.tag
                 or cap.seal is not _UNSEALED or cap.perms != self.arena.perms):

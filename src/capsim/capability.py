@@ -4,12 +4,13 @@ A capability is a fat pointer: a 64-bit address plus bounds, permissions,
 a seal state, and a 1-bit validity tag.  Derivation is monotonic (bounds
 and permissions can only shrink), sealing makes a capability immutable
 and non-dereferenceable, and arithmetic on capability-typed integers
-inherits metadata from the capability operand.  `check_int` is the one
-rule for a number entering the model, here and in the layers above: an
-int, not a `bool`, in the caller's range, else `ValueError`; for a value
-outside a fixed set (a tuple, tested with `in`) it is `not_one_of`.  A
-`CapFault` is raised, here and in `memory`, with the check that failed
-and its operands; `FAULTS` gives that check's fault kind and wording.
+inherits metadata from the capability operand.  Three input rules, here
+and in the layers above, raise `ValueError`: `check_int` for a number (an
+int, not a `bool`, in the caller's range), `not_one_of` for a value
+outside a fixed set (a tuple, tested with `in`) and `not_a` for a value
+not of its type, such as a derivation's capability operand.  A `CapFault`
+is raised, here and in `memory`, with the check that failed and its
+operands; `FAULTS` gives its kind and wording.
 """
 from __future__ import annotations
 
@@ -229,6 +230,12 @@ def not_one_of(what: str, choices: tuple, value) -> ValueError:
     return ValueError(f"{what} must be one of {choices}, not {value!r}")
 
 
+def not_a(what: str, types, value) -> ValueError:
+    """The error its caller raises when `isinstance(value, types)` fails."""
+    names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    return ValueError(f"{what} must be a {names}, not {value!r}")
+
+
 def make_root(base: int, length: int, perms: Perm) -> Capability:
     """Construct a fresh tagged capability covering [base, base+length).
 
@@ -239,7 +246,7 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
     check_int(base, "root base", 0, 1 << 64)
     check_int(length, "root length", 0)
     if not isinstance(perms, Perm):
-        raise ValueError(f"root perms must be a Perm, not {perms!r}")
+        raise not_a("root perms", Perm, perms)
     if base + length > 1 << 64:
         raise ValueError("bounds overflow the address space")
     return Capability(True, base, base, base + length, perms)
@@ -268,6 +275,8 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     """
     check_int(new_base, "bounds base")
     check_int(new_length, "bounds length")
+    if type(cap) is not Capability and not isinstance(cap, Capability):
+        raise not_a("capability", Capability, cap)
     new_top = new_base + new_length
     if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(cap, mode, "set_bounds")
@@ -281,7 +290,9 @@ def restrict_perms(cap: Capability, perms: Perm,
     """Drop permissions; widening (or untagged input) clears the tag.
     Perms that are not a `Perm` raise `ValueError`."""
     if not isinstance(perms, Perm):
-        raise ValueError(f"perms must be a Perm, not {perms!r}")
+        raise not_a("perms", Perm, perms)
+    if type(cap) is not Capability and not isinstance(cap, Capability):
+        raise not_a("capability", Capability, cap)
     if cap.tag and cap.seal is not _UNSEALED:
         ok = _sealed_modify(cap, mode, "restrict_perms")
     else:
@@ -296,6 +307,8 @@ def set_address(cap: Capability, addr: int,
     the tag; bounds are enforced only at access time.  An address that is
     not an int, or is a `bool`, raises `ValueError` (`check_int`)."""
     addr = check_int(addr, "address") & MASK64
+    if type(cap) is not Capability and not isinstance(cap, Capability):
+        raise not_a("capability", Capability, cap)
     tag = cap.tag
     if tag and cap.seal is not _UNSEALED:
         tag = _sealed_modify(cap, mode, "set_address")
@@ -305,6 +318,8 @@ def set_address(cap: Capability, addr: int,
 def seal_entry(cap: Capability) -> Capability:
     """Seal an executable capability.  Inputs without tag or EXECUTE yield
     an untagged result; a tag is never conjured."""
+    if type(cap) is not Capability and not isinstance(cap, Capability):
+        raise not_a("capability", Capability, cap)
     ok = cap.tag and cap.seal is _UNSEALED and cap.perms._value_ & _EXECUTE == _EXECUTE
     return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
 
@@ -323,7 +338,7 @@ def check_access(cap: Capability, kind: Perm, size: int, address: int) -> None:
     that check and its operands.
     """
     if type(kind) is not Perm:
-        raise ValueError(f"access kind must be a Perm, not {kind!r}")
+        raise not_a("access kind", Perm, kind)
     if type(address) is not int or type(size) is not int:
         check_int(address, "address")
         check_int(size, "access size")
@@ -387,6 +402,8 @@ def capint_binop(lhs, rhs, op: str,
 def capint_to_int64(v: CapInt) -> int:
     """Extract the 64-bit address.  Works on sealed and untagged inputs
     and never creates or modifies a capability."""
+    if type(v) is not Capability and not isinstance(v, Capability):
+        raise not_a("capability", Capability, v)
     return v.address & MASK64
 
 

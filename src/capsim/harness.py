@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .capability import SEAL_MODES, check_int, not_one_of
+from .capability import SEAL_MODES, check_int, not_a, not_one_of
 from .scenarios import (
     CATALOGUE,
     MODES,
@@ -37,7 +37,7 @@ class RunSpec:
     def __post_init__(self):
         check_int(self.seed, "seed", 0)
         if not isinstance(self.scenarios, tuple):  # a bare str would read as one id per character
-            raise ValueError(f"scenarios must be a tuple of ids, not {self.scenarios!r}")
+            raise not_a("scenario ids", tuple, self.scenarios)
         ids = tuple(CATALOGUE)
         checks = [("scenario id", sid, ids) for sid in self.scenarios]
         checks += [(name, getattr(self, name), tuple(c)) for name, c in RUN_CHOICES.items()]

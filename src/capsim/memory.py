@@ -32,10 +32,10 @@ or store then tests alignment to a granule; the memory's own check,
 last, naming the first that denies the access.  An accessor calls
 `_check` only when the access runs past memory or its kind's count is
 not 0; otherwise neither can fail.  The memory size and the `mprotect`
-start and length must pass `check_int`, `mprotect`'s perms must be a
-`Perm` and its `prot_cap` `True` or `False`, `store_cap` stores only a
-`Capability` and `store_bytes` only `bytes`, a `bytearray` or a
-`memoryview`; anything else raises `ValueError` before any fault check.
+start and length must pass `check_int`, its `prot_cap` must be `True` or
+`False` and every other operand but the authority must be of its
+annotated type (a byte payload may be `bytes`, a `bytearray` or a
+`memoryview`), else `ValueError` is raised before any fault check.
 Every fault is raised with its check and operands; its kind and wording
 live in `capability.FAULTS`.
 """
@@ -54,6 +54,7 @@ from .capability import (
     check_access,
     check_int,
     int64_to_capint,
+    not_a,
 )
 
 GRANULE = 16
@@ -110,7 +111,7 @@ class TaggedMemory:
 
     def store_cap(self, authority: Capability, addr: int, value: Capability) -> None:
         if not isinstance(value, Capability):
-            raise ValueError(f"store_cap stores a Capability, not {value!r}")
+            raise not_a("stored value", Capability, value)
         check_access(authority, _STORE, GRANULE, addr)
         if addr % GRANULE != 0:
             raise CapFault("alignment", cap=authority, access=_STORE, size=GRANULE,
@@ -140,7 +141,7 @@ class TaggedMemory:
     def store_bytes(self, authority: Capability, addr: int, payload: bytes) -> None:
         if type(payload) is not bytes:
             if not isinstance(payload, _BYTES_LIKE):
-                raise ValueError(f"store_bytes stores bytes, not {payload!r}")
+                raise not_a("byte payload", _BYTES_LIKE, payload)
             payload = bytes(payload)  # a memoryview's len counts items, not bytes
         n = len(payload)
         check_access(authority, _STORE, n, addr)
@@ -168,6 +169,8 @@ class TaggedMemory:
     # -- page protection ----------------------------------------------
 
     def mprotect(self, req: PageProtRequest) -> None:
+        if not isinstance(req, PageProtRequest):
+            raise not_a("mprotect request", PageProtRequest, req)
         start = check_int(req.start, "mprotect start", 0)
         length = check_int(req.length, "mprotect length", 0)
         if start % PAGE != 0 or length % PAGE != 0:
@@ -175,7 +178,7 @@ class TaggedMemory:
         if start + length > self.size:
             raise ValueError("mprotect range outside memory")
         if not isinstance(req.perms, Perm):
-            raise ValueError(f"mprotect perms must be a Perm, not {req.perms!r}")
+            raise not_a("mprotect perms", Perm, req.perms)
         if req.prot_cap is not True and req.prot_cap is not False:
             raise ValueError(f"mprotect prot_cap must be True or False, not {req.prot_cap!r}")
         perms = req.perms._value_

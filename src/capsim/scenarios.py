@@ -38,6 +38,7 @@ from .capability import (
     capint_to_int64,
     check_int,
     int64_to_capint,
+    not_a,
     not_one_of,
     set_address,
     set_bounds,
@@ -454,7 +455,7 @@ def run_scenario(sid: str, mode: str, config: ScenarioConfig | None = None) -> S
         raise not_one_of("mode", MODES, mode)
     cfg = ScenarioConfig() if config is None else config
     if not isinstance(cfg, ScenarioConfig):
-        raise ValueError(f"config must be a ScenarioConfig or None, not {config!r}")
+        raise not_a("config", ScenarioConfig, config)
     record = CATALOGUE[sid]
     return ScenarioOutcome(sid, mode,
                            cfg.seal_mode._value_ if record.seal_sensitive else None,

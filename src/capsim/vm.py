@@ -29,6 +29,7 @@ from .capability import (
     check_int,
     int64_to_capint,
     make_root,
+    not_a,
     not_one_of,
     seal_entry,
     set_address,
@@ -138,7 +139,7 @@ def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:
     """
     if type(buf) is not bytes:
         if not isinstance(buf, _BYTES_LIKE):
-            raise ValueError(f"count_utf8_lead_bytes reads bytes, not {buf!r}")
+            raise not_a("utf-8 buffer", _BYTES_LIKE, buf)
         buf = bytes(buf)
     if model not in WORD_MODELS:
         raise not_one_of("word model", WORD_MODELS, model)
@@ -268,7 +269,7 @@ class MiniVm:
         or tuple and an entry that is not a (kind, value) tuple.
         """
         if not isinstance(entries, (list, tuple)):
-            raise ValueError(f"stack entries must be a list or tuple, not {entries!r}")
+            raise not_a("stack entries", (list, tuple), entries)
         top = self.stack_bottom - len(entries) * STACK_SLOT
         for addr, entry in zip(range(top, self.stack_bottom, STACK_SLOT), entries):
             if type(entry) is not tuple or len(entry) != 2:
@@ -296,8 +297,6 @@ class MiniVm:
         input error is raised at the first `next()`.  A `through` that is
         neither `None` nor a `Capability`, or a `top` that fails `check_int`,
         raises `ValueError`; a sealed `through` follows the seal mode."""
-        if through is not None and not isinstance(through, Capability):
-            raise ValueError(f"stack_values scans through a Capability, not {through!r}")
         scan = set_address(self.stack_cap if through is None else through, top, self.seal_mode)
         for addr in range(scan.address, self.stack_bottom, STACK_SLOT):
             yield self.mem.load_cap(scan, addr)
@@ -319,7 +318,7 @@ class MiniVm:
         if opt_level not in OPT_LEVELS:
             raise not_one_of("opt level", OPT_LEVELS, opt_level)
         if type(v) is not Capability and not isinstance(v, Capability):
-            raise ValueError(f"vm_immediate_p tests a Capability, not {v!r}")
+            raise not_a("immediate-test operand", Capability, v)
         if variant == "buggy" and opt_level == "O0":
             tmp = self.binop(v, IMMEDIATE_MASK, "and")
             return tmp.address != 0
@@ -343,7 +342,7 @@ class MiniVm:
         if variant not in MODES:
             raise not_one_of("variant", MODES, variant)
         if type(v) is not Capability and not isinstance(v, Capability):
-            raise ValueError(f"gc_mark marks a Capability, not {v!r}")
+            raise not_a("gc_mark operand", Capability, v)
         if v.address & IMMEDIATE_MASK:
             return False  # an immediate, as vm_immediate_p(v, "fixed") says
         if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):

@@ -140,7 +140,7 @@ def test_s6_fixed_counts_one_lead_byte_per_character():
 @pytest.mark.parametrize("config", [{}, 0, "x", SealMode.FAULT_ON_MODIFY],
                          ids=["empty-dict", "zero", "str", "seal-mode"])
 def test_a_config_that_is_not_a_scenario_config_raises_value_error(config):
-    with pytest.raises(ValueError, match="^config must be a ScenarioConfig"):
+    with pytest.raises(ValueError, match="^config must be a ScenarioConfig, not "):
         run_scenario("S7", "buggy", config)
 
 

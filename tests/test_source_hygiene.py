@@ -1,14 +1,15 @@
 """Static checks on the package source: no unused import, no unreferenced
 private helper, no public name only the tests reach, no module constant
 spelled twice, one random generator constructor, one int rule, one access
-check, one choice error, one fault wording, one outcome vocabulary.  A
-helper whose last caller goes must go with it, and so must a public
-function, method or class that nothing in the package, the demos or the
-benchmark names; a constant has one module that defines it; a VM's
-randomness comes from `MiniVm.rng`; "an int, not a bool" is spelled only
-in `check_int`; an access's operands are checked only by `check_access`,
-at an address its caller names; the error for a value outside a fixed
-set is worded only in `not_one_of`; a fault is raised with its check and
+check, one choice error, one type error, one fault wording, one outcome
+vocabulary.  A helper whose last caller goes must go with it, and so must
+a public function, method or class that nothing in the package, the demos
+or the benchmark names; a constant has one module that defines it; a
+VM's randomness comes from `MiniVm.rng`; "an int, not a bool" is spelled
+only in `check_int`; an access's operands are checked only by
+`check_access`, at an address its caller names; the error for a value
+outside a fixed set is worded only in `not_one_of`, and for a value not
+of a type only in `not_a`; a fault is raised with its check and
 operands, never its kind, and only `capability.FAULTS` pairs a check
 with its kind and wording; an outcome is an `OutcomeKind`, never a
 string tag; only the memory and the allocator's sweep know the tag side
@@ -178,26 +179,46 @@ def test_check_access_is_the_one_check_of_an_access():
 # the choice error's wording and the old wordings it replaced: only `not_one_of` holds one
 CHOICE_ERROR_WORDINGS = ("must be one of", "must be a SealMode", "bad ", "unknown scenario",
                          "unknown operation", "unknown stack entry")
+# the type error's wording, with `{}` for its type names, and the old wordings it replaced
+TYPE_ERROR_WORDINGS = ("must be a {}", "must be a Perm", "must be a tuple", "must be a list",
+                       "must be a ScenarioConfig", "needs a Capability", "needs a TaggedMemory",
+                       "stores a ", "stores bytes", "reads bytes", "scans through", "tests a ",
+                       "marks a ")
 
 
-def _choice_error_wordings(tree, scope=()):
-    """(enclosing qualified name, line) of each string literal in `tree`,
-    f-string parts and docstrings included, that holds a choice-error
-    wording."""
+def _error_wordings(tree, wordings, scope=()):
+    """The enclosing qualified name of each string literal in `tree`,
+    docstrings included, that holds one of `wordings`.  An f-string is read
+    whole, with `{}` for each value it formats."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = scope + (node.name,)
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and any(wording in node.value for wording in CHOICE_ERROR_WORDINGS)):
-            yield ".".join(scope), node.lineno
-        yield from _choice_error_wordings(node, inner)
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                           for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            text = ""
+        # an f-string's own parts were read with it
+        if not isinstance(tree, ast.JoinedStr) and any(wording in text for wording in wordings):
+            yield ".".join(scope)
+        yield from _error_wordings(node, wordings, inner)
+
+
+def _worded_by(wordings):
+    """`module:qualified name` of each literal in the package that holds one of `wordings`."""
+    return [f"{module}:{where}" for module, tree in sorted(TREES.items())
+            for where in _error_wordings(tree, wordings)]
 
 
 def test_the_choice_error_is_worded_once():
-    worded = [f"{module}:{where}:{line}" for module, tree in sorted(TREES.items())
-              for where, line in _choice_error_wordings(tree)]
-    assert [w.rsplit(":", 1)[0] for w in worded] == ["capability.py:not_one_of"], worded
+    assert _worded_by(CHOICE_ERROR_WORDINGS) == ["capability.py:not_one_of"]
+
+
+def test_the_type_error_is_worded_once():
+    assert _worded_by(TYPE_ERROR_WORDINGS) == ["capability.py:not_a"]
 
 
 def _worded_faults(tree):

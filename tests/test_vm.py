@@ -261,7 +261,7 @@ SEALED_STACK = seal_entry(make_root(STACK_BASE, STACK_SIZE, Perm.LOAD | Perm.EXE
 
 
 @pytest.mark.parametrize("top, through, error, message", [
-    (None, 1, ValueError, "scans through a Capability"),
+    (None, 1, ValueError, "^capability must be a Capability, not 1$"),
     ("x", None, ValueError, "address must be an int"),
     (True, None, ValueError, "address must be an int"),
     (None, SEALED_STACK, CapFault, "seal fault"),
