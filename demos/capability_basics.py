@@ -18,7 +18,7 @@ from capsim import (
 def show(label, cap):
     tag = "tagged" if cap.tag else "UNTAGGED"
     print(f"  {label}: {tag} [{cap.base:#x},{cap.top:#x}) @{cap.address:#x} "
-          f"perms={cap.perms} seal={cap.seal.value}")
+          f"perms={cap.perms} sealed={cap.sealed}")
 
 
 print("1. Monotonic derivation: bounds and permissions only shrink.")

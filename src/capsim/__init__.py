@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 from .allocator import AllocError, CapAllocator, OutOfMemory
 from .capability import (
     CapFault,
-    CapInt,
     Capability,
     FaultKind,
     Perm,
     SealMode,
-    SealState,
     WordModel,
     capint_binop,
     capint_to_int64,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .capability import _UNSEALED, Capability, check_int, not_a, set_address, set_bounds
+from .capability import Capability, check_int, not_a, set_address, set_bounds
 from .memory import GRANULE, TaggedMemory
 
 ALIGN = GRANULE  # allocation granularity
@@ -87,7 +87,7 @@ class CapAllocator:
         if not isinstance(arena, Capability):
             raise not_a("allocator arena", Capability, arena)
         base, top = arena.base, arena.top
-        if (not arena.tag or arena.seal is not _UNSEALED or top <= base
+        if (not arena.tag or arena.sealed or top <= base
                 or base % ALIGN or top % ALIGN or top > mem.size):
             raise ValueError(f"an allocator's arena must be tagged, unsealed, non-empty,"
                              f" {ALIGN}-byte aligned and inside memory, not {arena!r}")
@@ -121,7 +121,7 @@ class CapAllocator:
             raise not_a(f"{what}'s operand", Capability, cap)
         size = self.live.get(cap.base)
         if (size != cap.top - cap.base or not cap.tag
-                or cap.seal is not _UNSEALED or cap.perms != self.arena.perms):
+                or cap.sealed or cap.perms != self.arena.perms):
             raise AllocError(f"{what} needs a live object's own capability,"
                              f" not [{cap.base:#x},{cap.top:#x})")
         return size

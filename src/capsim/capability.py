@@ -1,7 +1,7 @@
 """Capability values and their derivation rules.
 
 A capability is a fat pointer: a 64-bit address plus bounds, permissions,
-a seal state, and a 1-bit validity tag.  Derivation is monotonic (bounds
+a sealed bit, and a 1-bit validity tag.  Derivation is monotonic (bounds
 and permissions can only shrink), sealing makes a capability immutable
 and non-dereferenceable, and arithmetic on capability-typed integers
 inherits metadata from the capability operand.  Three input rules, here
@@ -36,16 +36,6 @@ class Perm(enum.Flag):
 PERM_NONE = Perm(0)
 PERM_ALL = Perm.LOAD | Perm.STORE | Perm.EXECUTE
 
-
-class SealState(enum.Enum):
-    UNSEALED = "unsealed"
-    SEALED_ENTRY = "sealed_entry"
-
-
-# Aliases for the per-access paths: in CPython 3.11 reading an enum member
-# as a class attribute costs several times a module-global read.
-_UNSEALED = SealState.UNSEALED
-_SEALED_ENTRY = SealState.SEALED_ENTRY
 _EXECUTE = Perm.EXECUTE._value_  # its mask, tested as `held & want == want`
 _PACK_WORDS_INTO = struct.Struct("<QQ").pack_into
 
@@ -54,7 +44,9 @@ class SealMode(enum.Enum):
     """What happens when the address of a sealed capability is modified.
 
     Older hardware semantics raise a seal fault; newer semantics clear
-    the validity tag instead.  Fixed per simulator instance.
+    the validity tag instead.  Fixed per simulator instance.  A
+    derivation that takes a mode raises `not_one_of`'s ValueError for one
+    not in `SEAL_MODES`, whether or not its capability is sealed.
     """
 
     FAULT_ON_MODIFY = "fault"
@@ -168,7 +160,7 @@ def _slot_init(cls):
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Capability:
-    """Tagged fat value: address, bounds [base, top), perms, seal, tag.
+    """Tagged fat value: address, bounds [base, top), perms, sealed, tag.
 
     Instances are immutable; every operation returns a new value.  An
     untagged capability is just bits and carries no authority.  The
@@ -176,6 +168,7 @@ class Capability:
     descriptor; everything else is the frozen dataclass's own, so
     assignment raises FrozenInstanceError.  Permission tests read the
     integer mask `perms._value_` rather than testing `Flag` membership.
+    `sealed` marks the model's one seal, a sealed entry ("sentry").
     """
 
     tag: bool
@@ -183,7 +176,7 @@ class Capability:
     base: int
     top: int  # exclusive, may be 2**64
     perms: Perm
-    seal: SealState = SealState.UNSEALED
+    sealed: bool = False
 
     @property
     def length(self) -> int:
@@ -194,22 +187,17 @@ class Capability:
         low 8 = address, high 8 = metadata.
 
         The metadata word is `hash()` of a tuple of ints: base and top
-        split into 32-bit halves, the permission bits and the seal bit.
+        split into 32-bit halves, the permission bits and the sealed bit.
         CPython never salts int or tuple hashes, so the word is the same
         in every process whatever PYTHONHASHSEED is.  For bounds inside
         the address space every element is below 2**33 and hashes to
         itself, and the tuple hash is one-to-one in each element, so
-        changing any one of base, top, perms or seal changes the word.
+        changing any one of base, top, perms or sealed changes the word.
         """
         base, top = self.base, self.top
         meta = hash((base & MASK32, base >> 32, top & MASK32, top >> 32,
-                     self.perms._value_, self.seal is _SEALED_ENTRY))
+                     self.perms._value_, self.sealed))
         _PACK_WORDS_INTO(buffer, offset, self.address & MASK64, meta & MASK64)
-
-
-# A capability used in integer context (pointer-sized integer) is the
-# same value; the alias marks intent at call sites.
-CapInt = Capability
 
 
 def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -255,11 +243,9 @@ def make_root(base: int, length: int, perms: Perm) -> Capability:
 def _sealed_modify(cap: Capability, mode: SealMode, op: str) -> bool:
     """The tag of a value that `op` derives from the tagged sealed `cap`: a
     seal fault under FAULT_ON_MODIFY, a cleared tag under
-    INVALIDATE_ON_MODIFY."""
+    INVALIDATE_ON_MODIFY.  Its caller has tested `mode`."""
     if mode is SealMode.INVALIDATE_ON_MODIFY:
         return False
-    if mode is not SealMode.FAULT_ON_MODIFY:
-        raise not_one_of("seal mode", SEAL_MODES, mode)
     raise CapFault("sealed-modify", cap=cap, op=op)
 
 
@@ -277,12 +263,14 @@ def set_bounds(cap: Capability, new_base: int, new_length: int,
     check_int(new_length, "bounds length")
     if type(cap) is not Capability and not isinstance(cap, Capability):
         raise not_a("capability", Capability, cap)
+    if mode not in SEAL_MODES:
+        raise not_one_of("seal mode", SEAL_MODES, mode)
     new_top = new_base + new_length
-    if cap.tag and cap.seal is not _UNSEALED:
+    if cap.tag and cap.sealed:
         ok = _sealed_modify(cap, mode, "set_bounds")
     else:
         ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
-    return Capability(ok, new_base, new_base, new_top, cap.perms, cap.seal)
+    return Capability(ok, new_base, new_base, new_top, cap.perms, cap.sealed)
 
 
 def restrict_perms(cap: Capability, perms: Perm,
@@ -293,12 +281,14 @@ def restrict_perms(cap: Capability, perms: Perm,
         raise not_a("perms", Perm, perms)
     if type(cap) is not Capability and not isinstance(cap, Capability):
         raise not_a("capability", Capability, cap)
-    if cap.tag and cap.seal is not _UNSEALED:
+    if mode not in SEAL_MODES:
+        raise not_one_of("seal mode", SEAL_MODES, mode)
+    if cap.tag and cap.sealed:
         ok = _sealed_modify(cap, mode, "restrict_perms")
     else:
         want = perms._value_
         ok = cap.tag and cap.perms._value_ & want == want
-    return Capability(ok, cap.address, cap.base, cap.top, perms, cap.seal)
+    return Capability(ok, cap.address, cap.base, cap.top, perms, cap.sealed)
 
 
 def set_address(cap: Capability, addr: int,
@@ -309,10 +299,12 @@ def set_address(cap: Capability, addr: int,
     addr = check_int(addr, "address") & MASK64
     if type(cap) is not Capability and not isinstance(cap, Capability):
         raise not_a("capability", Capability, cap)
+    if mode not in SEAL_MODES:
+        raise not_one_of("seal mode", SEAL_MODES, mode)
     tag = cap.tag
-    if tag and cap.seal is not _UNSEALED:
+    if tag and cap.sealed:
         tag = _sealed_modify(cap, mode, "set_address")
-    return Capability(tag, addr, cap.base, cap.top, cap.perms, cap.seal)
+    return Capability(tag, addr, cap.base, cap.top, cap.perms, cap.sealed)
 
 
 def seal_entry(cap: Capability) -> Capability:
@@ -320,8 +312,8 @@ def seal_entry(cap: Capability) -> Capability:
     an untagged result; a tag is never conjured."""
     if type(cap) is not Capability and not isinstance(cap, Capability):
         raise not_a("capability", Capability, cap)
-    ok = cap.tag and cap.seal is _UNSEALED and cap.perms._value_ & _EXECUTE == _EXECUTE
-    return Capability(ok, cap.address, cap.base, cap.top, cap.perms, SealState.SEALED_ENTRY)
+    ok = cap.tag and not cap.sealed and cap.perms._value_ & _EXECUTE == _EXECUTE
+    return Capability(ok, cap.address, cap.base, cap.top, cap.perms, True)
 
 
 def check_access(cap: Capability, kind: Perm, size: int, address: int) -> None:
@@ -335,7 +327,9 @@ def check_access(cap: Capability, kind: Perm, size: int, address: int) -> None:
     a fixed order, tag, seal, permission (`held & want == want` on integer
     masks, which decides as `kind in cap.perms` does, `Perm(0)` included),
     bounds, and the first check that fails raises a CapFault carrying
-    that check and its operands.
+    that check and its operands.  An authority that is not a `Capability`
+    raises `not_a`'s ValueError when a check reads a field it lacks, so
+    an object with every capability field passes, as a forged one does.
     """
     if type(kind) is not Perm:
         raise not_a("access kind", Perm, kind)
@@ -344,15 +338,20 @@ def check_access(cap: Capability, kind: Perm, size: int, address: int) -> None:
         check_int(size, "access size")
     if size < 1:
         raise ValueError("access size must be >= 1")
-    if not cap.tag:
-        raise CapFault("tag", cap=cap, access=kind, size=size, address=address)
-    if cap.seal is not _UNSEALED:
-        raise CapFault("seal", cap=cap, access=kind, size=size, address=address)
-    want = kind._value_
-    if cap.perms._value_ & want != want:
-        raise CapFault("permission", cap=cap, access=kind, size=size, address=address)
-    if not (cap.base <= address and address + size <= cap.top):
-        raise CapFault("bounds", cap=cap, access=kind, size=size, address=address)
+    try:  # costs nothing on CPython 3.11+ while nothing is raised
+        if not cap.tag:
+            raise CapFault("tag", cap=cap, access=kind, size=size, address=address)
+        if cap.sealed:
+            raise CapFault("seal", cap=cap, access=kind, size=size, address=address)
+        want = kind._value_
+        if cap.perms._value_ & want != want:
+            raise CapFault("permission", cap=cap, access=kind, size=size, address=address)
+        if not (cap.base <= address and address + size <= cap.top):
+            raise CapFault("bounds", cap=cap, access=kind, size=size, address=address)
+    except AttributeError:
+        if type(cap) is Capability:
+            raise
+        raise not_a("authority", Capability, cap) from None
 
 
 _BINOPS = {
@@ -367,7 +366,7 @@ _BINOPS = {
 
 
 def capint_binop(lhs, rhs, op: str,
-                 mode: SealMode = SealMode.FAULT_ON_MODIFY) -> CapInt:
+                 mode: SealMode = SealMode.FAULT_ON_MODIFY) -> Capability:
     """Binary operation on capability-typed integers.
 
     At least one operand must be a capability; the result inherits that
@@ -389,17 +388,19 @@ def capint_binop(lhs, rhs, op: str,
     fn = _BINOPS.get(op) if isinstance(op, str) else None
     if fn is None:
         raise not_one_of("operation", tuple(_BINOPS), op)
+    if mode not in SEAL_MODES:
+        raise not_one_of("seal mode", SEAL_MODES, mode)
     a = lhs.address if lcap else int(check_int(lhs, "a non-capability operand")) & MASK64
     b = rhs.address if rcap else int(check_int(rhs, "a non-capability operand")) & MASK64
     value = fn(a, b) & MASK64
 
     tag = source.tag
-    if tag and source.seal is not _UNSEALED:
+    if tag and source.sealed:
         tag = _sealed_modify(source, mode, f"binop {op}")
-    return Capability(tag, value, source.base, source.top, source.perms, source.seal)
+    return Capability(tag, value, source.base, source.top, source.perms, source.sealed)
 
 
-def capint_to_int64(v: CapInt) -> int:
+def capint_to_int64(v: Capability) -> int:
     """Extract the 64-bit address.  Works on sealed and untagged inputs
     and never creates or modifies a capability."""
     if type(v) is not Capability and not isinstance(v, Capability):
@@ -407,7 +408,7 @@ def capint_to_int64(v: CapInt) -> int:
     return v.address & MASK64
 
 
-def int64_to_capint(n: int) -> CapInt:
+def int64_to_capint(n: int) -> Capability:
     """An integer becomes an untagged capability: empty bounds, no perms,
     the address `n` modulo 2**64.  Any later dereference raises a tag
     fault.  An `n` that is not an int, or is a `bool`, raises `ValueError`

@@ -33,7 +33,7 @@ last, naming the first that denies the access.  An accessor calls
 `_check` only when the access runs past memory or its kind's count is
 not 0; otherwise neither can fail.  The memory size and the `mprotect`
 start and length must pass `check_int`, its `prot_cap` must be `True` or
-`False` and every other operand but the authority must be of its
+`False` and every other operand, the authority too, must be of its
 annotated type (a byte payload may be `bytes`, a `bytearray` or a
 `memoryview`), else `ValueError` is raised before any fault check.
 Every fault is raised with its check and operands; its kind and wording

@@ -17,13 +17,11 @@ from typing import Iterator
 from .allocator import CapAllocator
 from .capability import (
     MASK64,
-    CapInt,
     Capability,
     SEAL_MODES,
     WORD_MODELS,
     Perm,
     SealMode,
-    SealState,
     WordModel,
     capint_binop,
     check_int,
@@ -175,7 +173,7 @@ def insn_hash_int(n: int) -> int:
     return (((n >> s1) | ((n << s2) & MASK64)) ^ (n >> s2)) & MASK64
 
 
-def insn_hash_capint(n: CapInt, mode: SealMode) -> CapInt:
+def insn_hash_capint(n: Capability, mode: SealMode) -> Capability:
     """The same hash routed through capability-typed-integer arithmetic.
 
     Every step modifies the address of a temporary derived from `n`, so
@@ -231,7 +229,7 @@ class MiniVm:
             self._rng = random.Random(self.seed)
         return self._rng
 
-    def binop(self, lhs, rhs, op: str) -> CapInt:
+    def binop(self, lhs, rhs, op: str) -> Capability:
         return capint_binop(lhs, rhs, op, self.seal_mode)
 
     # -- value constructors -------------------------------------------
@@ -303,7 +301,7 @@ class MiniVm:
 
     # -- runtime routines ----------------------------------------------
 
-    def vm_immediate_p(self, v: CapInt, variant: str, opt_level: str = "O0") -> bool:
+    def vm_immediate_p(self, v: Capability, variant: str, opt_level: str = "O0") -> bool:
         """Immediate-tag test on the low three address bits.
 
         The buggy variant at O0 performs the mask through capability
@@ -345,7 +343,7 @@ class MiniVm:
             raise not_a("gc_mark operand", Capability, v)
         if v.address & IMMEDIATE_MASK:
             return False  # an immediate, as vm_immediate_p(v, "fixed") says
-        if variant == "fixed" and (not v.tag or v.seal is not SealState.UNSEALED):
+        if variant == "fixed" and (not v.tag or v.sealed):
             return False
         if not self.looks_like_object(v.address):
             return False

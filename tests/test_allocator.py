@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from capsim.allocator import AllocError, CapAllocator, OutOfMemory, _coalesce, _round_up
 from capsim.capability import (
-    CapFault, Capability, FaultKind, Perm, SealState, make_root, restrict_perms, seal_entry,
+    CapFault, Capability, FaultKind, Perm, make_root, restrict_perms, seal_entry,
     set_address, set_bounds,
 )
 from capsim.memory import GRANULE, PAGE, TaggedMemory
@@ -215,7 +215,7 @@ def test_free_rejects_capability_without_authority(exec_setup, forge):
     b = alloc.malloc(32)
     forged = forge(b)
     assert forged.base == b.base
-    assert not forged.tag or forged.seal is SealState.SEALED_ENTRY
+    assert not forged.tag or forged.sealed is True
     before = _allocator_state(alloc)
     with pytest.raises(AllocError):
         alloc.free(forged)
@@ -258,7 +258,7 @@ def test_free_and_realloc_reject_a_view_of_the_object(setup, view, n):
     _, alloc = setup
     b = alloc.malloc(64)
     v = view(b)
-    assert v.tag and v.seal is SealState.UNSEALED and v.base == b.base
+    assert v.tag and v.sealed is False and v.base == b.base
     before = _allocator_state(alloc)
     with pytest.raises(AllocError):
         _free_or_realloc(alloc, v, n)

@@ -21,7 +21,6 @@ from capsim.capability import (
     PERM_ALL,
     PERM_NONE,
     SealMode,
-    SealState,
     WordModel,
     capint_binop,
     capint_to_int64,
@@ -47,7 +46,7 @@ def cap(base=0x1000, length=0x1000, perms=LD | ST):
 class TestMakeRoot:
     def test_basic(self):
         c = make_root(0x1000, 0x1000, LD | ST)
-        assert c.tag and c.seal is SealState.UNSEALED
+        assert c.tag and c.sealed is False
         assert (c.address, c.base, c.top) == (0x1000, 0x1000, 0x2000)
         assert c.perms == LD | ST
 
@@ -148,7 +147,7 @@ class TestSetAddress:
 class TestSealEntry:
     def test_seal_executable(self):
         c = seal_entry(make_root(0x1000, 0x100, EX))
-        assert c.tag and c.seal is SealState.SEALED_ENTRY
+        assert c.tag and c.sealed is True
 
     def test_no_execute(self):
         assert not seal_entry(make_root(0x1000, 0x100, LD)).tag
@@ -207,7 +206,7 @@ class TestCapIntOps:
         c = cap()
         out = capint_binop(c, 0x20, "add")
         assert out.address == 0x1020
-        assert (out.base, out.top, out.perms, out.seal) == (c.base, c.top, c.perms, c.seal)
+        assert (out.base, out.top, out.perms, out.sealed) == (c.base, c.top, c.perms, c.sealed)
         assert out.tag
 
     def test_int_lhs_cap_rhs(self):
@@ -223,8 +222,8 @@ class TestCapIntOps:
         right = seal_entry(make_root(0x3000, 0x100, LD | EX))
         out = capint_binop(left, right, "add", mode)
         assert (out.tag, out.address) == (True, 0x4000)
-        assert (out.base, out.top, out.perms, out.seal) == \
-            (left.base, left.top, left.perms, left.seal)
+        assert (out.base, out.top, out.perms, out.sealed) == \
+            (left.base, left.top, left.perms, left.sealed)
 
     def test_sealed_sub_fault_mode(self):
         sealed = seal_entry(make_root(0x4000, 0x100, EX))
@@ -335,7 +334,7 @@ def test_tag_conjuring_impossible(c, addr, arg, op):
        st.sampled_from(["add", "sub", "and", "or", "xor", "shl", "shr"]))
 def test_lhs_inheritance(l, r, op):
     out = capint_binop(l, r, op)
-    assert (out.base, out.top, out.perms, out.seal) == (l.base, l.top, l.perms, l.seal)
+    assert (out.base, out.top, out.perms, out.sealed) == (l.base, l.top, l.perms, l.sealed)
 
 
 @given(root_caps(), st.integers(64, 1 << 20))
@@ -376,7 +375,6 @@ def test_seal_mode_duality():
 ADDRESS_SPACE = 1 << 64
 BINOPS = ["add", "sub", "and", "or", "xor", "shl", "shr"]
 any_perms = st.sampled_from([PERM_NONE, LD, ST, EX, LD | ST, LD | EX, ST | EX, PERM_ALL])
-seal_states = st.sampled_from(list(SealState))
 seal_modes = st.sampled_from(list(SealMode))
 
 
@@ -390,7 +388,7 @@ def any_caps(draw):
     address = draw(st.one_of(st.integers(min(base, top) - 32, max(base, top) + 32),
                              st.integers(0, MASK64)))
     return Capability(tag=draw(st.booleans()), address=address, base=base, top=top,
-                      perms=draw(any_perms), seal=draw(seal_states))
+                      perms=draw(any_perms), sealed=draw(st.booleans()))
 
 
 def near(c):
@@ -465,7 +463,7 @@ def ref_sealed_modify(cap, mode, what, **changes):
 
 def ref_set_bounds(cap, new_base, new_length, mode):
     new_top = new_base + new_length
-    if cap.tag and cap.seal is not SealState.UNSEALED:
+    if cap.tag and cap.sealed:
         return ref_sealed_modify(cap, mode, "set_bounds",
                                  address=new_base, base=new_base, top=new_top)
     ok = cap.tag and cap.base <= new_base <= new_top <= cap.top
@@ -473,7 +471,7 @@ def ref_set_bounds(cap, new_base, new_length, mode):
 
 
 def ref_restrict_perms(cap, perms, mode):
-    if cap.tag and cap.seal is not SealState.UNSEALED:
+    if cap.tag and cap.sealed:
         return ref_sealed_modify(cap, mode, "restrict_perms", perms=perms)
     ok = cap.tag and (perms & cap.perms) == perms
     return replace(cap, tag=ok, perms=perms)
@@ -481,14 +479,14 @@ def ref_restrict_perms(cap, perms, mode):
 
 def ref_set_address(cap, addr, mode):
     addr &= MASK64
-    if cap.tag and cap.seal is not SealState.UNSEALED:
+    if cap.tag and cap.sealed:
         return ref_sealed_modify(cap, mode, "set_address", address=addr)
     return replace(cap, address=addr)
 
 
 def ref_seal_entry(cap):
-    ok = cap.tag and cap.seal is SealState.UNSEALED and Perm.EXECUTE in cap.perms
-    return replace(cap, tag=ok, seal=SealState.SEALED_ENTRY)
+    ok = cap.tag and not cap.sealed and Perm.EXECUTE in cap.perms
+    return replace(cap, tag=ok, sealed=True)
 
 
 REF_OPS = {
@@ -508,7 +506,7 @@ def ref_capint_binop(lhs, rhs, op, mode):
     a = lhs.address if lcap else lhs & MASK64
     b = rhs.address if rcap else rhs & MASK64
     value = REF_OPS[op](a, b) & MASK64
-    if source.tag and source.seal is not SealState.UNSEALED:
+    if source.tag and source.sealed:
         return ref_sealed_modify(source, mode, f"binop {op}", address=value)
     return replace(source, address=value)
 
@@ -592,14 +590,14 @@ def valid_caps(draw):
     base = draw(st.integers(0, MASK64))
     return Capability(tag=draw(st.booleans()), address=draw(st.integers(0, MASK64)), base=base,
                       top=draw(st.integers(base, ADDRESS_SPACE)), perms=draw(any_perms),
-                      seal=draw(seal_states))
+                      sealed=draw(st.booleans()))
 
 
 FIELD_VALUES = {
     "base": st.integers(0, MASK64),
     "top": st.integers(0, ADDRESS_SPACE),
     "perms": any_perms,
-    "seal": seal_states,
+    "sealed": st.booleans(),
 }
 
 
@@ -624,7 +622,7 @@ def test_encode_layout_and_metadata_word(c, field, data):
     ("top", 0, ADDRESS_SPACE),
     ("base", 0, 1 << 32),
     ("perms", PERM_NONE, LD),
-    ("seal", SealState.UNSEALED, SealState.SEALED_ENTRY),
+    ("sealed", False, True),
 ])
 def test_encode_metadata_separates_values_with_equal_hashes(field, a, b):
     c = Capability(tag=True, address=0, base=0, top=0x100, perms=LD)
@@ -676,21 +674,20 @@ def test_seal_entry_and_restrict_perms_match_flag_membership_on_every_mask():
     only when `want in held`; a tagged sealed input follows the seal mode."""
     for held in PERM_GRID:
         for tag in (True, False):
-            for seal in SealState:
-                c = Capability(tag, 0x1010, 0x1000, 0x1100, held, seal)
-                unsealed = seal is SealState.UNSEALED
+            for sealed in (False, True):
+                c = Capability(tag, 0x1010, 0x1000, 0x1100, held, sealed)
                 entry = seal_entry(c)
-                assert entry.tag is (tag and unsealed and EX in held), (held, tag, seal)
-                assert entry == replace(c, tag=entry.tag, seal=SealState.SEALED_ENTRY)
+                assert entry.tag is (tag and not sealed and EX in held), (held, tag, sealed)
+                assert entry == replace(c, tag=entry.tag, sealed=True)
                 for want in PERM_GRID:
                     for mode in SealMode:
-                        if tag and not unsealed and mode is SealMode.FAULT_ON_MODIFY:
+                        if tag and sealed and mode is SealMode.FAULT_ON_MODIFY:
                             with pytest.raises(CapFault) as exc:
                                 restrict_perms(c, want, mode)
                             assert exc.value.kind is FaultKind.SEAL
                             continue
                         got = restrict_perms(c, want, mode)
-                        assert got.tag is (tag and unsealed and want in held), (held, want, tag)
+                        assert got.tag is (tag and not sealed and want in held), (held, want, tag)
                         assert got == replace(c, tag=got.tag, perms=want)
 
 
@@ -708,9 +705,9 @@ FIELD_NAMES = [f.name for f in fields(Capability)]
 
 @settings(max_examples=300)
 @given(st.booleans(), st.integers(-ADDRESS_SPACE, 2 * ADDRESS_SPACE), st.integers(0, MASK64),
-       st.integers(0, ADDRESS_SPACE), any_perms, seal_states)
-def test_constructor_matches_setattr_and_replace_reference(tag, address, base, top, perms, seal):
-    values = (tag, address, base, top, perms, seal)
+       st.integers(0, ADDRESS_SPACE), any_perms, st.booleans())
+def test_constructor_matches_setattr_and_replace_reference(tag, address, base, top, perms, sealed):
+    values = (tag, address, base, top, perms, sealed)
     ref = setattr_reference(*values)
     built = [
         Capability(*values),
@@ -721,9 +718,9 @@ def test_constructor_matches_setattr_and_replace_reference(tag, address, base, t
         assert c == ref and hash(c) == hash(ref) and repr(c) == repr(ref)
         assert [getattr(c, name) for name in FIELD_NAMES] == list(values)
     default = Capability(tag, address, base, top, perms)
-    assert default.seal is SealState.UNSEALED
-    assert default == setattr_reference(tag, address, base, top, perms, SealState.UNSEALED)
-    assert default == replace(ref, seal=SealState.UNSEALED)
+    assert default.sealed is False
+    assert default == setattr_reference(tag, address, base, top, perms, False)
+    assert default == replace(ref, sealed=False)
 
 
 def test_capability_stays_a_frozen_slotted_dataclass():

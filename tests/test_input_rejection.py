@@ -9,7 +9,9 @@ from capsim.capability import (
 from capsim.harness import RunSpec
 from capsim.memory import PAGE, PageProtRequest, TaggedMemory
 from capsim.scenarios import ScenarioConfig, run_scenario
-from capsim.vm import STACK_BASE, MarkBitmap, MiniVm, count_utf8_lead_bytes, insn_hash_int
+from capsim.vm import (
+    STACK_BASE, MarkBitmap, MiniVm, count_utf8_lead_bytes, insn_hash_capint, insn_hash_int,
+)
 from helpers import untagged
 
 
@@ -203,6 +205,12 @@ CHOICE_ENTRY_POINTS = {
     "run_scenario-id": (lambda v: run_scenario(v, "buggy"), ()),
     "run_scenario-mode": (lambda v: run_scenario("S1", v), ()),
     "sealed-modify-seal-mode": (lambda v: set_address(_sealed(), 0x1010, v), ("fault",)),
+    # a derivation tests its mode whether or not its capability is sealed
+    "set_bounds-mode": (lambda v: set_bounds(_root(), 0, 16, v), ("fault",)),
+    "restrict_perms-mode": (lambda v: restrict_perms(_root(), Perm.LOAD, v), ("fault",)),
+    "set_address-mode": (lambda v: set_address(_root(), 16, v), ("fault",)),
+    "capint_binop-mode": (lambda v: capint_binop(_root(), 1, "add", v), ("fault",)),
+    "insn_hash_capint-mode": (lambda v: insn_hash_capint(_root(), v), ("fault",)),
     "capint_binop-op": (lambda v: capint_binop(_root(), 1, v), ()),
     "stack-entry-kind": (lambda v: MiniVm().lay_out_stack([(v, 0)]), ()),
     "MiniVm-seal-mode": (lambda v: MiniVm(seal_mode=v), ("fault",)),
@@ -261,6 +269,13 @@ TYPE_ENTRY_POINTS = {
     "set_address-capability": (lambda v: set_address(v, 0), ()),
     "seal_entry-capability": (seal_entry, ()),
     "capint_to_int64-capability": (capint_to_int64, ()),
+    # an access's authority, which `check_access` tests only when a read of
+    # one of its fields fails
+    "check_access-authority": (lambda v: check_access(v, Perm.LOAD, 1, 0), ()),
+    "load_cap-authority": (lambda v: TaggedMemory(PAGE).load_cap(v, 0), ()),
+    "store_cap-authority": (lambda v: TaggedMemory(PAGE).store_cap(v, 0, _root()), ()),
+    "load_bytes-authority": (lambda v: TaggedMemory(PAGE).load_bytes(v, 0, 1), ()),
+    "store_bytes-authority": (lambda v: TaggedMemory(PAGE).store_bytes(v, 0, b"a"), ()),
 }
 
 
