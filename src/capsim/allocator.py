@@ -163,24 +163,24 @@ class CapAllocator:
         the span ends for that span.  A sentinel start of 2**65, above any
         `top`, stands for "no such span", so the test needs no bounds check.
         One comprehension over the memory's tag side table, read in place,
-        collects the revoked granules first; their tags are cleared after
-        it, one `clear_granule_tag` call each, in side-table order.  Nothing
-        writes the table while the comprehension reads it, so no snapshot
-        is taken and nothing is sorted.  With T tagged granules, Q
-        quarantined regions and F free-list entries the sweep costs
-        O(T log Q + Q log Q + F), whatever order the capabilities were
-        stored in.
+        collects the revoked granule addresses first; their tags are
+        cleared after it, one `clear_granule_tag` call each, in side-table
+        order.  Nothing writes the table while the comprehension reads it,
+        so no snapshot is taken and nothing is sorted.  With T tagged
+        granules, Q quarantined regions and F free-list entries the sweep
+        costs O(T log Q + Q log Q + F), whatever order the capabilities
+        were stored in.
         Returns the number of tags cleared.
         """
         spans = _coalesce(self.quarantine)
         starts = [start for start, _ in spans]
         starts.append(1 << 65)
         ends = [start + length for start, length in spans]
-        revoked = [g for g, cap in self.mem.granule_caps.items()
+        revoked = [addr for addr, cap in self.mem.granule_caps.items()
                    if starts[bisect_right(ends, cap.base)] < cap.top and cap.base < cap.top]
         clear = self.mem.clear_granule_tag
-        for g in revoked:
-            clear(g * GRANULE)
+        for addr in revoked:
+            clear(addr)
         self.free_list = _coalesce(self.free_list + spans)
         self.quarantine = []
         return len(revoked)

@@ -132,7 +132,7 @@ def test_revocation_completeness():
                 for addr in range(0, mem.size, 16):
                     if not mem.granule_tag(addr):
                         continue
-                    cap = mem.granule_caps[addr // 16]
+                    cap = mem.granule_caps[addr]
                     for qb, ql in quarantined:
                         assert max(cap.base, qb) >= min(cap.top, qb + ql), \
                             f"trial {trial}: tagged cap into revoked region"

@@ -278,6 +278,17 @@ class TestMprotect:
         assert [mem.granule_tag(addr) for addr in edges] == [True, True, False, False, True, True]
 
 
+def test_a_tag_query_names_its_granule_by_any_address_inside_it(mem, auth):
+    a = PAGE + 0x40
+    mem.store_cap(auth, a, make_root(a, GRANULE, LD))
+    assert all(mem.granule_tag(a + k) for k in range(GRANULE))
+    assert not mem.granule_tag(a - 1) and not mem.granule_tag(a + GRANULE)
+    for neighbour in (a - GRANULE, a + GRANULE):
+        mem.store_cap(auth, neighbour, make_root(neighbour, GRANULE, LD))
+    mem.clear_granule_tag(a + GRANULE - 1)
+    assert [mem.granule_tag(g) for g in (a - GRANULE, a, a + GRANULE)] == [True, False, True]
+
+
 def test_iter_tagged_is_an_ascending_snapshot(mem, auth):
     stored = {addr: make_root(addr, 0x10, LD) for addr in (3 * PAGE, PAGE + 0x40, 0x20, 0)}
     for addr, value in stored.items():  # descending address order
@@ -321,13 +332,14 @@ PERM_GRID = [Perm(v) for v in range(PERM_ALL.value + 1)]  # Perm(0) included
 
 
 def test_page_permission_grid_matches_flag_membership(auth):
-    """Every (page permissions, wanted kind) pair decides as `want in held`
-    does, through the page check alone (the authority holds every
-    permission) and on an access that spans into the protected page."""
+    """Every page permission mask, with each kind an accessor checks (LOAD
+    or STORE), decides as `want in held` does, through the page check
+    alone (the authority holds every permission) and on an access that
+    spans into the protected page."""
     for held in PERM_GRID:
         mem = TaggedMemory(4 * PAGE)
         mem.mprotect(PageProtRequest(PAGE, PAGE, held))
-        for want in PERM_GRID:
+        for want in (LD, ST):
             for addr in (PAGE + 0x10, PAGE - 8):
                 if want in held:  # the Flag reference
                     mem._check(auth, addr, want, 16)
@@ -458,24 +470,26 @@ def test_page_protection_matches_strip_pending_model(npages, ops):
                 else:
                     model.caps.pop(addr, None)
         assert dict(mem.iter_tagged()) == model.caps, (step, name)
-        assert mem.page_perms == [p.value for p in model.perms]
+        assert mem.load_denied == {p for p, held in enumerate(model.perms) if LD not in held}
+        assert mem.store_denied == {p for p, held in enumerate(model.perms) if ST not in held}
 
 
-# -- the load and store denial counts that let an access skip its page walk
+# -- the load and store denied sets that let an access skip its page walk
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.lists(
     st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(PERM_GRID), st.booleans()),
     max_size=20))
-def test_denial_counts_are_the_pages_that_deny_a_load_and_a_store(npages, calls):
+def test_denied_sets_are_the_pages_that_deny_a_load_and_a_store(npages, calls):
     mem = TaggedMemory(npages * PAGE)
+    held = [PERM_ALL] * npages  # each page's mask, kept beside the memory
     for page, count, perms, prot_cap in calls:
         page %= npages
         count = min(count, npages - page)
         mem.mprotect(PageProtRequest(page * PAGE, count * PAGE, perms, prot_cap))
-        recount = [sum(Perm(held) & kind != kind for held in mem.page_perms)
-                   for kind in (Perm.LOAD, Perm.STORE)]
-        assert [mem.load_denials, mem.store_denials] == recount, (page, count, perms)
+        held[page:page + count] = [perms] * count
+        want = [{p for p, mask in enumerate(held) if kind not in mask} for kind in (LD, ST)]
+        assert [mem.load_denied, mem.store_denied] == want, (page, count, perms)
 
 
 # -- a load copies out of the writable view --------------------------------

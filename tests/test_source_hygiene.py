@@ -314,8 +314,8 @@ def _names_granule_caps(tree):
 
 
 def test_only_the_memory_and_the_allocator_name_the_tag_side_table():
-    # its keys are granule indices; every other module goes through the
-    # memory's accessors and `iter_tagged`
+    # its keys are granule base addresses; every other module goes through
+    # the memory's accessors and `iter_tagged`
     naming = [module for module, tree in sorted(TREES.items()) if _names_granule_caps(tree)]
     assert naming == ["allocator.py", "memory.py"]
 
