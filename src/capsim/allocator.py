@@ -3,15 +3,16 @@
 Freed regions go into quarantine instead of back onto the free list;
 a revocation sweep clears the tag of every stored capability whose
 bounds intersect a quarantined region, after which the regions become
-reusable.  A sweep runs when `revoke` is called, and inside `malloc`
-when no free block fits and the quarantine is not empty: `malloc` then
-revokes once and retries, so a `malloc` may clear tags.  realloc
-follows capability semantics: the returned capability is always a fresh
-derivation and the caller's old capability keeps its old bounds.  Only
-an object's own capability frees or resizes it: tagged, unsealed, with
-exactly its bounds and the arena's permissions (at any address), so
-neither bits that look like a pointer nor a narrowed or read-only view
-can release, resize or widen it.
+reusable.  The sweep finds stored capabilities only through the
+memory's `iter_tagged`.  A sweep runs when `revoke` is called, and
+inside `malloc` when no free block fits and the quarantine is not
+empty: `malloc` then revokes once and retries, so a `malloc` may clear
+tags.  realloc follows capability semantics: the returned capability is
+always a fresh derivation and the caller's old capability keeps its old
+bounds.  Only an object's own capability frees or resizes it: tagged,
+unsealed, with exactly its bounds and the arena's permissions (at any
+address), so neither bits that look like a pointer nor a narrowed or
+read-only view can release, resize or widen it.
 
 The free list is a sorted list of disjoint, coalesced (base, length)
 regions.  malloc takes the lowest-addressed block that fits (first fit,
@@ -162,11 +163,11 @@ class CapAllocator:
         starts below `top` and `base < top`; each tagged capability bisects
         the span ends for that span.  A sentinel start of 2**65, above any
         `top`, stands for "no such span", so the test needs no bounds check.
-        One comprehension over the memory's tag side table, read in place,
-        collects the revoked granule addresses first; their tags are
-        cleared after it, one `clear_granule_tag` call each, in side-table
-        order.  Nothing writes the table while the comprehension reads it,
-        so no snapshot is taken and nothing is sorted.  With T tagged
+        One comprehension over `iter_tagged`, the memory's live view of its
+        tagged granules, collects the revoked granule addresses first; their
+        tags are cleared after it, one `clear_granule_tag` call each, in the
+        order the view yields them.  The view copies and sorts nothing, so
+        no tag is cleared while the comprehension reads it.  With T tagged
         granules, Q quarantined regions and F free-list entries the sweep
         costs O(T log Q + Q log Q + F), whatever order the capabilities
         were stored in.
@@ -176,7 +177,7 @@ class CapAllocator:
         starts = [start for start, _ in spans]
         starts.append(1 << 65)
         ends = [start + length for start, length in spans]
-        revoked = [addr for addr, cap in self.mem.granule_caps.items()
+        revoked = [addr for addr, cap in self.mem.iter_tagged()
                    if starts[bisect_right(ends, cap.base)] < cap.top and cap.base < cap.top]
         clear = self.mem.clear_granule_tag
         for addr in revoked:

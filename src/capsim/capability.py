@@ -34,7 +34,6 @@ class Perm(enum.Flag):
 
 
 PERM_NONE = Perm(0)
-PERM_ALL = Perm.LOAD | Perm.STORE | Perm.EXECUTE
 
 _EXECUTE = Perm.EXECUTE._value_  # its mask, tested as `held & want == want`
 _PACK_WORDS_INTO = struct.Struct("<QQ").pack_into
@@ -211,6 +210,20 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
         span = "non-negative" if (lo, hi) == (0, None) else f"in [{lo}, {hi})"
         raise ValueError(f"{what} must be {span}, not {value!r}")
     return value
+
+
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def check_bytes(value, what: str) -> bytes:
+    """The one rule for a byte payload entering the model: return the bytes
+    of `value` if it is `bytes`, a `bytearray` or a `memoryview` (copied,
+    because a memoryview's len counts items, not bytes), and raise
+    `ValueError` naming `what` otherwise.  A caller first tests
+    `type(value) is not bytes`, so an exact `bytes` makes no call."""
+    if not isinstance(value, _BYTES_LIKE):
+        raise not_a(what, _BYTES_LIKE, value)
+    return bytes(value)
 
 
 def not_one_of(what: str, choices: tuple, value) -> ValueError:

@@ -11,9 +11,10 @@ nothing else: a granule is tagged exactly when it has an entry, so
 clearing a tag removes the entry, and a sweep or a page's tag strip
 visits only tagged granules.  Its keys are granule base addresses, so a
 capability access uses its address as the key and a tag query masks an
-address down to its granule; this module and the allocator's sweep are
-the only code that reads the table.  Any plain byte write into a granule
-clears its tag.
+address down to its granule.  Only this module reads the table: other
+code lists tags through `iter_tagged`, a live iterator over it, and
+clears one through `clear_granule_tag`.  Any plain byte write into a
+granule clears its tag.
 Pages have an mprotect-style protection call.  Of a page's permissions
 only two facts are ever tested, whether it denies a load and whether it
 denies a store, so the memory keeps two sets of page indices,
@@ -34,9 +35,9 @@ last, naming the first that denies the access.  An accessor calls
 denying pages is not empty; otherwise neither can fail.  The memory size
 and the `mprotect` start and length must pass `check_int`, its
 `prot_cap` must be `True` or `False` and every other operand, the
-authority too, must be of its annotated type (a byte payload may be
-`bytes`, a `bytearray` or a `memoryview`), else `ValueError` is raised
-before any fault check.
+authority too, must be of its annotated type (a byte payload must pass
+`check_bytes`: `bytes`, a `bytearray` or a `memoryview`), else
+`ValueError` is raised before any fault check.
 Every fault is raised with its check and operands; its kind and wording
 live in `capability.FAULTS`.
 """
@@ -52,6 +53,7 @@ from .capability import (
     Capability,
     Perm,
     check_access,
+    check_bytes,
     check_int,
     int64_to_capint,
     not_a,
@@ -63,7 +65,6 @@ PAGE = 4096
 # `-GRANULE` written in place is negated again on every call
 _GRANULE_MASK = -GRANULE
 _LOAD, _STORE = Perm.LOAD, Perm.STORE  # cheaper to read than the enum's attributes
-_BYTES_LIKE = (bytes, bytearray, memoryview)  # what `store_bytes` writes
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,7 @@ class TaggedMemory:
 
     def store_bytes(self, authority: Capability, addr: int, payload: bytes) -> None:
         if type(payload) is not bytes:
-            if not isinstance(payload, _BYTES_LIKE):
-                raise not_a("byte payload", _BYTES_LIKE, payload)
-            payload = bytes(payload)  # a memoryview's len counts items, not bytes
+            payload = check_bytes(payload, "byte payload")
         n = len(payload)
         check_access(authority, _STORE, n, addr)
         end = addr + n
@@ -191,17 +190,16 @@ class TaggedMemory:
             else:
                 denied.update(pages)
 
-    # -- raw inspection (tag snapshots for callers and test oracles) ----
+    # -- tag inspection (how other modules read and clear tags) --------
 
     def iter_tagged(self) -> Iterator[tuple[int, Capability]]:
-        """Return an iterator of (granule base address, capability) for
-        every tagged granule in ascending address order.  The snapshot is
-        taken when this method is called: the side table's items are sorted
-        into a list before it returns, so the consumer may clear tags as it
-        goes.  It costs O(T log T) for T tagged granules, so the allocator's
-        revocation sweep does not call it: it reads `granule_caps` in place
-        and clears through `clear_granule_tag`."""
-        return iter(sorted(self.granule_caps.items()))
+        """Return the live iterator of (granule base address, capability)
+        over every tagged granule, in the order the tags were stored.  It
+        reads the side table in place and copies and sorts nothing, so a
+        consumer that stores or clears tags must collect the items first,
+        as `CapAllocator.revoke` does: Python raises `RuntimeError` at the
+        next item after the table changes size."""
+        return iter(self.granule_caps.items())
 
     def clear_granule_tag(self, addr: int) -> None:
         if type(addr) is not int:

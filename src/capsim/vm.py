@@ -24,6 +24,7 @@ from .capability import (
     SealMode,
     WordModel,
     capint_binop,
+    check_bytes,
     check_int,
     int64_to_capint,
     make_root,
@@ -32,7 +33,7 @@ from .capability import (
     seal_entry,
     set_address,
 )
-from .memory import _BYTES_LIKE, GRANULE, PAGE, TaggedMemory
+from .memory import GRANULE, PAGE, TaggedMemory
 
 IMMEDIATE_MASK = 0x7
 
@@ -130,15 +131,13 @@ def count_utf8_lead_bytes(buf: bytes, model: WordModel) -> int:
 
     The word loop strides by the storage size of the word type.  With padded
     words only the low 8 data bytes of each 16-byte word participate, so
-    half of the input is silently skipped.  `buf` is `bytes`, a
-    `bytearray` or a `memoryview`, read as its bytes as `store_bytes`
-    reads a payload; anything else, a model not in `WORD_MODELS` or a
-    partial last word raises `ValueError`.
+    half of the input is silently skipped.  `buf` must pass `check_bytes`,
+    the rule `store_bytes` applies to a payload (`bytes`, a `bytearray` or
+    a `memoryview`, read as its bytes); anything else, a model not in
+    `WORD_MODELS` or a partial last word raises `ValueError`.
     """
     if type(buf) is not bytes:
-        if not isinstance(buf, _BYTES_LIKE):
-            raise not_a("utf-8 buffer", _BYTES_LIKE, buf)
-        buf = bytes(buf)
+        buf = check_bytes(buf, "utf-8 buffer")
     if model not in WORD_MODELS:
         raise not_one_of("word model", WORD_MODELS, model)
     stride = model.storage_bytes

@@ -416,7 +416,7 @@ def test_revoke_matches_all_pairs_oracle(data):
     stored = _store(mem, bounds, order)
 
     addrs = [addr for addr, _ in mem.iter_tagged()]
-    assert addrs == sorted(stored)
+    assert sorted(addrs) == sorted(stored)
     _revoke_and_compare(mem, alloc, stored)
 
 
@@ -436,8 +436,9 @@ def test_revoke_matches_oracle_at_benchmark_scale():
                  if rng.random() < 0.25 else objs[i])
         stored[holder.base + k * GRANULE] = value
         mem.store_cap(holder, holder.base + k * GRANULE, value)
-    # the side table's order is not address order, and the sweep must not rely on it
-    assert list(mem.granule_caps) != sorted(mem.granule_caps)
+    # the sweep's view is not in address order, and the sweep must not rely on it
+    addrs = [addr for addr, _ in mem.iter_tagged()]
+    assert addrs != sorted(addrs)
     for i in rng.sample(range(len(objs)), 256):
         alloc.free(objs[i])
     _revoke_and_compare(mem, alloc, stored)
@@ -472,6 +473,29 @@ def test_revoke_clears_each_revoked_granule_through_clear_granule_tag(setup, mon
     stripped = [addr for addr in stored if not mem.granule_tag(addr)]
     assert clears == stripped == [SLOTS + i * GRANULE for i in (0, 2, 5)]
     assert cleared == len(stripped)
+
+
+@pytest.mark.parametrize("sweep", ["revoke", "malloc"])
+def test_a_sweep_finds_tags_only_through_iter_tagged(setup, monkeypatch, sweep):
+    """A revoked granule that `iter_tagged` hides keeps its tag, whether the
+    sweep is a `revoke()` or a `malloc` that finds no free block."""
+    mem, alloc = setup
+    a = alloc.malloc(64)
+    rest = alloc.malloc(ARENA_SIZE - 64)  # the free list is now empty
+    alloc.free(a)
+    stored = _store(mem, [(a.base, a.top)] * 3 + [(rest.base, rest.top)])
+    hidden = SLOTS + GRANULE
+    original_iter = TaggedMemory.iter_tagged
+
+    def iter_tagged(self):
+        return ((addr, cap) for addr, cap in original_iter(self) if addr != hidden)
+
+    monkeypatch.setattr(TaggedMemory, "iter_tagged", iter_tagged)
+    if sweep == "revoke":
+        assert alloc.revoke() == 2
+    else:
+        assert alloc.malloc(64).base == a.base and not alloc.quarantine
+    assert [mem.granule_tag(addr) for addr in stored] == [False, True, False, True]
 
 
 # -- realloc below one byte ----------------------------------------------------

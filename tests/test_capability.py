@@ -18,7 +18,6 @@ from capsim.capability import (
     Capability,
     FaultKind,
     Perm,
-    PERM_ALL,
     PERM_NONE,
     SealMode,
     WordModel,
@@ -51,7 +50,7 @@ class TestMakeRoot:
         assert c.perms == LD | ST
 
     def test_whole_address_space(self):
-        c = make_root(0, MASK64, PERM_ALL)
+        c = make_root(0, MASK64, LD | ST | EX)
         assert c.tag and c.top == MASK64
 
     def test_zero_length(self):
@@ -288,7 +287,7 @@ class TestCapIntOps:
 
 # -- properties ---------------------------------------------------------
 
-perm_sets = st.sampled_from([PERM_NONE, LD, ST, LD | ST, LD | EX, PERM_ALL])
+perm_sets = st.sampled_from([PERM_NONE, LD, ST, LD | ST, LD | EX, LD | ST | EX])
 
 
 @st.composite
@@ -374,7 +373,7 @@ def test_seal_mode_duality():
 
 ADDRESS_SPACE = 1 << 64
 BINOPS = ["add", "sub", "and", "or", "xor", "shl", "shr"]
-any_perms = st.sampled_from([PERM_NONE, LD, ST, EX, LD | ST, LD | EX, ST | EX, PERM_ALL])
+any_perms = st.sampled_from([PERM_NONE, LD, ST, EX, LD | ST, LD | EX, ST | EX, LD | ST | EX])
 seal_modes = st.sampled_from(list(SealMode))
 
 
@@ -560,9 +559,10 @@ def test_word_model_members_carry_their_storage_size():
 
 ENCODE_SAMPLES = """
 from dataclasses import replace
-from capsim.capability import PERM_ALL, Perm, make_root, seal_entry, set_address, int64_to_capint
-caps = [make_root(0, 1 << 64, PERM_ALL), make_root(0x1000, 0x40, Perm.LOAD),
-        seal_entry(set_address(make_root(0x2000, 0x100, PERM_ALL), 0x2010)),
+from capsim.capability import Perm, make_root, seal_entry, set_address, int64_to_capint
+rwx = Perm.LOAD | Perm.STORE | Perm.EXECUTE
+caps = [make_root(0, 1 << 64, rwx), make_root(0x1000, 0x40, Perm.LOAD),
+        seal_entry(set_address(make_root(0x2000, 0x100, rwx), 0x2010)),
         replace(make_root(0xFFFF_FFFF_0000, 0x10, Perm.STORE), tag=False),
         int64_to_capint(0xDEADBEEF)]
 buf = bytearray(16 * len(caps))
@@ -632,7 +632,7 @@ def test_encode_metadata_separates_values_with_equal_hashes(field, a, b):
 GOLDEN_ENCODINGS = {
     "root": (make_root(0x1_2345_6780, 0x40, LD | ST),
              "80674523010000005a0b4b68f1a83a86"),
-    "sealed-entry": (seal_entry(set_address(make_root(0x2000, 0x100, PERM_ALL), 0x2010)),
+    "sealed-entry": (seal_entry(set_address(make_root(0x2000, 0x100, LD | ST | EX), 0x2010)),
                      "10200000000000002caf0be406a1acce"),
     "top-2**64": (set_address(make_root(MASK64 - 0xFFFF, 0x1_0000, LD), MASK64 - 0xF),
                   "f0ffffffffffffff97d4d44e7f0ecea3"),  # its top is 2**64
@@ -650,7 +650,7 @@ def test_encode_golden_bytes(c, golden):
 
 # -- integer permission masks and the slot-store constructor ---------------
 
-PERM_GRID = [Perm(v) for v in range(PERM_ALL.value + 1)]  # Perm(0) included
+PERM_GRID = [Perm(v) for v in range((LD | ST | EX).value + 1)]  # Perm(0) included
 
 
 def test_check_access_permission_grid_matches_flag_membership():

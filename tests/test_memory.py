@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capsim.capability import (
-    PERM_ALL,
     CapFault,
     FaultKind,
     Perm,
@@ -17,7 +16,7 @@ from capsim.capability import (
 from capsim.memory import GRANULE, PAGE, PageProtRequest, TaggedMemory
 from helpers import encoded, untagged
 
-LD, ST = Perm.LOAD, Perm.STORE
+LD, ST, EX = Perm.LOAD, Perm.STORE, Perm.EXECUTE
 
 
 @pytest.fixture
@@ -148,7 +147,7 @@ def test_access_faults_at_the_first_failing_check_in_order(name, row):
     kind, access = PRECEDENCE_ACCESSORS[name]
     authority, addr, check = PRECEDENCE[row]
     mem = TaggedMemory(2 * PAGE)
-    mem.mprotect(PageProtRequest(PAGE, PAGE, PERM_ALL & ~kind))
+    mem.mprotect(PageProtRequest(PAGE, PAGE, (LD | ST | EX) & ~kind))
     with pytest.raises(CapFault) as exc:
         access(mem, authority, addr)
     assert exc.value.check == check
@@ -177,7 +176,7 @@ def test_unaligned_capability_access_checks_its_capability_first(name, row):
     kind, access = UNALIGNED_ACCESSORS[name]
     authority, addr, check = UNALIGNED[row]
     mem = TaggedMemory(2 * PAGE)
-    mem.mprotect(PageProtRequest(PAGE, PAGE, PERM_ALL & ~kind))
+    mem.mprotect(PageProtRequest(PAGE, PAGE, (LD | ST | EX) & ~kind))
     with pytest.raises(CapFault) as exc:
         access(mem, authority, addr)
     assert exc.value.check == check
@@ -195,7 +194,7 @@ BYTE_ACCESSES = {
 @pytest.mark.parametrize("name", BYTE_ACCESSES)
 def test_three_page_access_faults_at_the_page_that_denies_it(mem, auth, name, denied):
     kind, access = BYTE_ACCESSES[name]
-    mem.mprotect(PageProtRequest(denied * PAGE, PAGE, PERM_ALL & ~kind))
+    mem.mprotect(PageProtRequest(denied * PAGE, PAGE, (LD | ST | EX) & ~kind))
     before = bytes(mem.data)
     with pytest.raises(CapFault) as exc:
         access(mem, auth, PAGE - 8, PAGE + 16)  # pages 0, 1 and 2
@@ -209,7 +208,7 @@ def test_access_ending_on_a_page_boundary_leaves_the_next_page_alone(name):
     kind, access = BYTE_ACCESSES[name]
     mem = TaggedMemory(3 * PAGE)
     auth = make_root(0, 3 * PAGE, LD | ST)
-    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, PERM_ALL & ~kind))
+    mem.mprotect(PageProtRequest(2 * PAGE, PAGE, (LD | ST | EX) & ~kind))
     access(mem, auth, PAGE - 8, PAGE + 8)  # ends where denied page 2 begins
     access(mem, auth, 2 * PAGE - GRANULE, GRANULE)
     mem.mprotect(PageProtRequest(2 * PAGE, PAGE, LD | ST))
@@ -289,28 +288,42 @@ def test_a_tag_query_names_its_granule_by_any_address_inside_it(mem, auth):
     assert [mem.granule_tag(g) for g in (a - GRANULE, a, a + GRANULE)] == [True, False, True]
 
 
-def test_iter_tagged_is_an_ascending_snapshot(mem, auth):
+def test_iter_tagged_is_a_live_view_in_store_order(mem, auth):
     stored = {addr: make_root(addr, 0x10, LD) for addr in (3 * PAGE, PAGE + 0x40, 0x20, 0)}
     for addr, value in stored.items():  # descending address order
         mem.store_cap(auth, addr, value)
-    seen = []
-    for addr, value in mem.iter_tagged():
-        if not seen:  # clear every tag at the first item
-            for a in stored:
-                mem.clear_granule_tag(a)
-        seen.append((addr, value))
-    assert seen == sorted(stored.items())
+    assert list(mem.iter_tagged()) == list(stored.items())
+    items = mem.iter_tagged()
+    assert next(items) == (3 * PAGE, stored[3 * PAGE])
+    # a tagged granule stored again keeps its place, and the view reads the new value
+    replacement = make_root(0, 0x20, LD)
+    mem.store_cap(auth, 0x20, replacement)
+    assert list(items) == [(PAGE + 0x40, stored[PAGE + 0x40]), (0x20, replacement),
+                           (0, stored[0])]
+    for addr in stored:
+        mem.clear_granule_tag(addr)
     assert list(mem.iter_tagged()) == []
 
 
-def test_iter_tagged_snapshot_is_taken_at_the_call(mem, auth):
-    stored = {addr: make_root(addr, 0x10, LD) for addr in (2 * PAGE, 0x30, 0)}
-    for addr, value in stored.items():
-        mem.store_cap(auth, addr, value)
+@pytest.mark.parametrize("change", ["clear", "store", "store-untagged"])
+def test_iter_tagged_raises_when_a_tag_changes_under_it(mem, auth, change):
+    stored = [0, 0x20, PAGE]
+    for addr in stored:
+        mem.store_cap(auth, addr, make_root(addr, 0x10, LD))
     items = mem.iter_tagged()
-    for addr in stored:  # before the first next()
+    next(items)
+    if change == "clear":
+        mem.clear_granule_tag(0x20)
+    elif change == "store":
+        mem.store_cap(auth, 0x40, make_root(0x40, 0x10, LD))
+    else:  # an untagged value stored over a tagged granule clears its tag
+        mem.store_cap(auth, 0x20, untagged(make_root(0x20, 0x10, LD)))
+    with pytest.raises(RuntimeError):
+        next(items)
+    # collecting first, as the allocator's sweep does, lets the consumer clear
+    for addr, _ in list(mem.iter_tagged()):
         mem.clear_granule_tag(addr)
-    assert list(items) == sorted(stored.items())
+    assert list(mem.iter_tagged()) == []
 
 
 def test_tag_data_coherence_random_ops(mem, auth):
@@ -328,7 +341,7 @@ def test_tag_data_coherence_random_ops(mem, auth):
 
 # -- page permissions tested on integer masks ------------------------------
 
-PERM_GRID = [Perm(v) for v in range(PERM_ALL.value + 1)]  # Perm(0) included
+PERM_GRID = [Perm(v) for v in range((LD | ST | EX).value + 1)]  # Perm(0) included
 
 
 def test_page_permission_grid_matches_flag_membership(auth):
@@ -400,7 +413,7 @@ class _PageModel:
     comes back without `prot_cap`."""
 
     def __init__(self, npages):
-        self.perms = [PERM_ALL] * npages
+        self.perms = [LD | ST | EX] * npages
         self.strip_pending = [False] * npages
         self.caps = {}  # granule address -> capability
 
@@ -435,7 +448,7 @@ _NO_STRIP = [("store_cap", 0, 0), ("mprotect", 0, 1, LD, False),
              ("mprotect", 0, 2, ST, False), ("load_cap", 0, 0)])
 def test_page_protection_matches_strip_pending_model(npages, ops):
     mem = TaggedMemory(npages * PAGE)
-    auth = make_root(0, npages * PAGE, PERM_ALL)
+    auth = make_root(0, npages * PAGE, LD | ST | EX)
     model = _PageModel(npages)
     for step, (name, page, *args) in enumerate(ops):
         page %= npages
@@ -482,7 +495,7 @@ def test_page_protection_matches_strip_pending_model(npages, ops):
     max_size=20))
 def test_denied_sets_are_the_pages_that_deny_a_load_and_a_store(npages, calls):
     mem = TaggedMemory(npages * PAGE)
-    held = [PERM_ALL] * npages  # each page's mask, kept beside the memory
+    held = [LD | ST | EX] * npages  # each page's mask, kept beside the memory
     for page, count, perms, prot_cap in calls:
         page %= npages
         count = min(count, npages - page)

@@ -129,26 +129,32 @@ def test_each_vm_has_one_source_of_randomness():
     assert calls == ["vm.py:MiniVm.rng"]
 
 
-def _bool_tests(tree, scope=()):
-    """The enclosing qualified name of each `isinstance(..., bool)` call in
-    `tree`, `bool` alone or in a tuple of types."""
+def _type_tests(tree, types, scope=()):
+    """The enclosing qualified name of each `isinstance(...)` call in `tree`
+    that names one of the names `types`, alone or in a tuple of types."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = scope + (node.name,)
         if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                 and len(node.args) == 2):
-            types = node.args[1]
-            names = types.elts if isinstance(types, ast.Tuple) else [types]
-            if any(getattr(name, "id", None) == "bool" for name in names):
+            tested = node.args[1]
+            names = tested.elts if isinstance(tested, ast.Tuple) else [tested]
+            if any(getattr(name, "id", None) in types for name in names):
                 yield ".".join(scope)
-        yield from _bool_tests(node, inner)
+        yield from _type_tests(node, types, inner)
 
 
 def test_the_int_rule_is_spelled_once():
     tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
-             for where in _bool_tests(tree)]
+             for where in _type_tests(tree, {"bool"})]
     assert tests == ["capability.py:check_int"]
+
+
+def test_the_bytes_rule_is_spelled_once():
+    tests = [f"{module}:{where}" for module, tree in sorted(TREES.items())
+             for where in _type_tests(tree, {"bytearray", "memoryview", "_BYTES_LIKE"})]
+    assert tests == ["capability.py:check_bytes"]
 
 
 def _calls(node, name):
@@ -313,17 +319,23 @@ def _names_granule_caps(tree):
                for node in ast.walk(tree))
 
 
-def test_only_the_memory_and_the_allocator_name_the_tag_side_table():
-    # its keys are granule base addresses; every other module goes through
-    # the memory's accessors and `iter_tagged`
+def test_only_the_memory_names_the_tag_side_table():
+    # its type and key format are the memory's own; every other module goes
+    # through the memory's accessors and `iter_tagged`
     naming = [module for module, tree in sorted(TREES.items()) if _names_granule_caps(tree)]
-    assert naming == ["allocator.py", "memory.py"]
+    assert naming == ["memory.py"]
 
 
 def _public_definitions(tree):
-    """(qualified name, name) of each public module-level function and
-    class in `tree`, and of each public method of a public class."""
+    """(qualified name, name) of each public module-level function, class
+    and upper-case constant in `tree`, and of each public method of a
+    public class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((name.id, name.id) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and name.id.isupper()
+                        and not name.id.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name
             if isinstance(node, ast.ClassDef):
