@@ -27,8 +27,6 @@ from .scenarios import (
     CATALOGUE,
     OutcomeKind,
     ScenarioConfig,
-    ScenarioOutcome,
-    outcome_matches,
     run_scenario,
 )
 from .vm import MarkBitmap, MiniVm, SymbolEntry, count_utf8_lead_bytes

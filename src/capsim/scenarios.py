@@ -15,16 +15,18 @@ registry: the harness and the CLI derive everything from it, and a
 record's `expected(mode, cfg)` is the one expectation rule. A runner
 takes `(vm, mode, cfg)`, where `vm` is the fresh `MiniVm` that
 `run_scenario` builds per run, and returns `(kind, fault, expected,
-actual, detail)`; `run_scenario` adds the id, the mode and the
-applicable configuration. Each scenario runs on its one built-in input,
-drawn from `vm.rng` or fixed in this module.
+actual, detail)`. `run_scenario` turns that into the cell's report
+record, the one representation of a cell's result: the id, the mode, the
+applicable configuration, the outcome as strings, and `pass`, which it
+decides against `expected(mode, cfg)`. Each scenario runs on its one
+built-in input, drawn from `vm.rng` or fixed in this module.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .capability import (
     MASK64,
@@ -34,7 +36,6 @@ from .capability import (
     Perm,
     SealMode,
     WordModel,
-    _slot_init,
     capint_to_int64,
     check_int,
     int64_to_capint,
@@ -81,21 +82,6 @@ class ScenarioConfig:
             raise not_one_of("seal mode", SEAL_MODES, self.seal_mode)
         if self.opt_level not in OPT_LEVELS:
             raise not_one_of("opt level", OPT_LEVELS, self.opt_level)
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class ScenarioOutcome:
-    """What one cell did; `expected` and `actual` are a corrupt result's."""
-    scenario: str
-    mode: str
-    seal_mode: Optional[str]
-    opt_level: Optional[str]
-    kind: OutcomeKind
-    fault: Optional[FaultKind] = None
-    expected: Optional[str] = None
-    actual: Optional[str] = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -445,10 +431,12 @@ def _s12(vm: MiniVm, mode: str, cfg: ScenarioConfig) -> tuple:
                   detail_ok="argument survived the context copy")
 
 
-def run_scenario(sid: str, mode: str, config: ScenarioConfig | None = None) -> ScenarioOutcome:
-    """Run one scenario variant on a fresh simulator instance.  `config`
-    `None` means the default; an unknown id or mode and a config that is
-    not a `ScenarioConfig` raise `ValueError`."""
+def run_scenario(sid: str, mode: str, config: ScenarioConfig | None = None) -> dict:
+    """Run one scenario variant on a fresh simulator instance and return
+    the cell's report record, the one `run_matrix` appends: `pass` says
+    whether its kind and fault are the pair `Scenario.expected` gives.
+    `config` `None` means the default; an unknown id or mode and a config
+    that is not a `ScenarioConfig` raise `ValueError`."""
     if not (isinstance(sid, str) and sid in CATALOGUE):
         raise not_one_of("scenario id", tuple(CATALOGUE), sid)
     if mode not in MODES:
@@ -457,12 +445,19 @@ def run_scenario(sid: str, mode: str, config: ScenarioConfig | None = None) -> S
     if not isinstance(cfg, ScenarioConfig):
         raise not_a("config", ScenarioConfig, config)
     record = CATALOGUE[sid]
-    return ScenarioOutcome(sid, mode,
-                           cfg.seal_mode._value_ if record.seal_sensitive else None,
-                           cfg.opt_level if record.opt_sensitive else None,
-                           *record.runner(MiniVm(cfg.seal_mode, cfg.seed), mode, cfg))
-
-
-def outcome_matches(outcome: ScenarioOutcome, expectation: tuple) -> bool:
-    """Whether a cell's kind and fault are the pair `Scenario.expected` gives."""
-    return (outcome.kind, outcome.fault) == expectation
+    vm = MiniVm(cfg.seal_mode, cfg.seed)
+    kind, fault, expected, actual, detail = record.runner(vm, mode, cfg)
+    return {
+        "scenario": sid,
+        "mode": mode,
+        "seal_mode": cfg.seal_mode._value_ if record.seal_sensitive else None,
+        "opt_level": cfg.opt_level if record.opt_sensitive else None,
+        "outcome": {  # `_value_` skips the enum's `value` descriptor
+            "kind": kind._value_,
+            "fault": fault._value_ if fault else None,
+            "expected": expected,
+            "actual": actual,
+            "detail": detail,
+        },
+        "pass": (kind, fault) == record.expected(mode, cfg),
+    }

@@ -25,9 +25,7 @@ from capsim.capability import (
 from capsim.memory import PAGE, TaggedMemory
 from capsim.scenarios import (
     CATALOGUE,
-    OutcomeKind,
     ScenarioConfig,
-    outcome_matches,
     run_scenario,
 )
 from capsim.vm import (
@@ -59,9 +57,11 @@ def test_pitfall_matrix():
             for seal in seals:
                 for opt in opts:
                     cfg = ScenarioConfig(seal_mode=seal, opt_level=opt)
-                    out = run_scenario(sid, mode, cfg)
-                    expect = CATALOGUE[sid].expected(mode, cfg)
-                    assert outcome_matches(out, expect), (sid, mode, seal, opt, out)
+                    rec = run_scenario(sid, mode, cfg)
+                    kind, fault = CATALOGUE[sid].expected(mode, cfg)
+                    expect = kind.value, fault.value if fault else None
+                    got = rec["outcome"]["kind"], rec["outcome"]["fault"]
+                    assert got == expect and rec["pass"], (sid, mode, seal, opt, rec)
                     cells += 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"matrix took {elapsed:.1f}s"

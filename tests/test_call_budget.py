@@ -18,7 +18,7 @@ from capsim import cli
 PACKAGE = os.path.dirname(capsim.__file__) + os.sep
 
 # frames entered by a warm `capsim run all --format json --seed 0`
-CALL_BUDGET = 1979
+CALL_BUDGET = 1945
 
 
 def _capsim_calls(argv) -> int:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from capsim.capability import FaultKind, SealMode
-from capsim.harness import RunSpec, _configs_for
+from capsim.harness import RunSpec, _configs_for, run_matrix
 from capsim.vm import CODE_BASE, MiniVm, SymbolEntry
 from capsim import scenarios
 from capsim.scenarios import (
@@ -13,7 +13,6 @@ from capsim.scenarios import (
     MODES,
     OutcomeKind,
     ScenarioConfig,
-    outcome_matches,
     run_scenario,
     scenario,
 )
@@ -97,44 +96,44 @@ def test_each_run_builds_one_vm_from_its_config(monkeypatch):
 
 
 def test_s1_buggy_bounds_fault_on_iteration_2():
-    out = run_scenario("S1", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.BOUNDS
-    assert out.detail == "iteration 2"
+    out = run_scenario("S1", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "bounds"
+    assert out["detail"] == "iteration 2"
 
 
 def test_s2_buggy_tag_fault():
-    out = run_scenario("S2", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.TAG
+    out = run_scenario("S2", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "tag"
 
 
 def test_s3_buggy_bounds_fault():
-    out = run_scenario("S3", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.BOUNDS
+    out = run_scenario("S3", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "bounds"
 
 
 def test_s4_buggy_drops_high_offsets():
     # seed 0 draws 8 marks beside the fixed 3, 70 and 127; the padded
     # bitmap keeps only those in the low 64 bits of its one 128-bit word
-    out = run_scenario("S4", "buggy")
-    assert out.kind is OutcomeKind.CORRUPT
-    assert out.expected == str([3, 10, 66, 70, 77, 98, 103, 107, 122, 124, 127])
-    assert out.actual == str([3, 10])
+    out = run_scenario("S4", "buggy")["outcome"]
+    assert out["kind"] == "corrupt"
+    assert out["expected"] == str([3, 10, 66, 70, 77, 98, 103, 107, 122, 124, 127])
+    assert out["actual"] == str([3, 10])
 
 
 def test_s4_fixed_matches_oracle():
-    out = run_scenario("S4", "fixed")
-    assert out.kind is OutcomeKind.OK and out.detail == "11 bits set and read back"
+    out = run_scenario("S4", "fixed")["outcome"]
+    assert out["kind"] == "ok" and out["detail"] == "11 bits set and read back"
 
 
 def test_s5_buggy_shape_reads_back_zero():
-    out = run_scenario("S5", "buggy")
-    assert out.kind is OutcomeKind.CORRUPT and out.actual == "0"
+    out = run_scenario("S5", "buggy")["outcome"]
+    assert out["kind"] == "corrupt" and out["actual"] == "0"
 
 
 def test_s6_fixed_counts_one_lead_byte_per_character():
-    out = run_scenario("S6", "fixed")
+    out = run_scenario("S6", "fixed")["outcome"]
     assert len(scenarios.DEFAULT_S6_TEXT) == 37
-    assert out.kind is OutcomeKind.OK and out.detail == "counted 37 lead bytes"
+    assert out["kind"] == "ok" and out["detail"] == "counted 37 lead bytes"
 
 
 @pytest.mark.parametrize("config", [{}, 0, "x", SealMode.FAULT_ON_MODIFY],
@@ -145,24 +144,24 @@ def test_a_config_that_is_not_a_scenario_config_raises_value_error(config):
 
 
 def test_no_config_means_the_default_config():
-    out = run_scenario("S7", "buggy", None)
-    assert out == run_scenario("S7", "buggy", ScenarioConfig())
-    assert outcome_matches(out, (OutcomeKind.FAULT, FaultKind.SEAL))
+    rec = run_scenario("S7", "buggy", None)
+    assert rec == run_scenario("S7", "buggy", ScenarioConfig())
+    assert (rec["outcome"]["kind"], rec["outcome"]["fault"]) == ("fault", "seal")
 
 
 def test_s6_buggy_undercounts():
-    out = run_scenario("S6", "buggy")
-    assert out.kind is OutcomeKind.CORRUPT
-    assert int(out.actual) < int(out.expected)
+    out = run_scenario("S6", "buggy")["outcome"]
+    assert out["kind"] == "corrupt"
+    assert int(out["actual"]) < int(out["expected"])
 
 
 def test_s7_seal_modes():
-    out = run_scenario("S7", "buggy", FAULT)
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.SEAL
-    out = run_scenario("S7", "buggy", INVALIDATE)
-    assert out.kind is OutcomeKind.OK and "eval" in out.detail
+    out = run_scenario("S7", "buggy", FAULT)["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "seal"
+    out = run_scenario("S7", "buggy", INVALIDATE)["outcome"]
+    assert out["kind"] == "ok" and "eval" in out["detail"]
     for cfg in (FAULT, INVALIDATE):
-        assert run_scenario("S7", "fixed", cfg).kind is OutcomeKind.OK
+        assert run_scenario("S7", "fixed", cfg)["outcome"]["kind"] == "ok"
 
 
 @pytest.mark.parametrize("sym", scenarios.SYMBOL_TABLE, ids=lambda sym: sym.name)
@@ -180,53 +179,53 @@ def test_s7_a_symbol_ending_at_the_traced_address_does_not_hold_it(monkeypatch, 
     # S7 traces CODE_BASE + 0x1A0, one past the end of "before"
     monkeypatch.setattr(scenarios, "SYMBOL_TABLE",
                         (SymbolEntry("before", 0x180, 0x20), SymbolEntry("at", 0x1A0, 0x10)))
-    out = run_scenario("S7", mode, cfg)
-    assert out.kind is OutcomeKind.OK and out.detail == "symbol at"
+    out = run_scenario("S7", mode, cfg)["outcome"]
+    assert out["kind"] == "ok" and out["detail"] == "symbol at"
 
 
 def test_s8_spot_hash():
     # S8 hashes the dispatch entry at CODE_BASE + 0x40 = 0x1040
-    out = run_scenario("S8", "fixed")
-    assert out.kind is OutcomeKind.OK and out.detail == "hash 0x800a"
+    out = run_scenario("S8", "fixed")["outcome"]
+    assert out["kind"] == "ok" and out["detail"] == "hash 0x800a"
 
 
 def test_s8_invalidate_mode_hash_matches_fixed():
-    buggy = run_scenario("S8", "buggy", INVALIDATE)
-    fixed = run_scenario("S8", "fixed", INVALIDATE)
-    assert buggy.kind is OutcomeKind.OK and fixed.kind is OutcomeKind.OK
-    assert buggy.detail == fixed.detail
+    buggy = run_scenario("S8", "buggy", INVALIDATE)["outcome"]
+    fixed = run_scenario("S8", "fixed", INVALIDATE)["outcome"]
+    assert buggy["kind"] == "ok" and fixed["kind"] == "ok"
+    assert buggy["detail"] == fixed["detail"]
 
 
 def test_s9_matrix():
     cases = {
-        ("buggy", "O0", SealMode.FAULT_ON_MODIFY): (OutcomeKind.FAULT, FaultKind.SEAL),
-        ("buggy", "O0", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
-        ("buggy", "O1", SealMode.FAULT_ON_MODIFY): (OutcomeKind.OK, None),
-        ("buggy", "O1", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
-        ("fixed", "O0", SealMode.FAULT_ON_MODIFY): (OutcomeKind.OK, None),
-        ("fixed", "O1", SealMode.INVALIDATE_ON_MODIFY): (OutcomeKind.OK, None),
+        ("buggy", "O0", SealMode.FAULT_ON_MODIFY): ("fault", "seal"),
+        ("buggy", "O0", SealMode.INVALIDATE_ON_MODIFY): ("ok", None),
+        ("buggy", "O1", SealMode.FAULT_ON_MODIFY): ("ok", None),
+        ("buggy", "O1", SealMode.INVALIDATE_ON_MODIFY): ("ok", None),
+        ("fixed", "O0", SealMode.FAULT_ON_MODIFY): ("ok", None),
+        ("fixed", "O1", SealMode.INVALIDATE_ON_MODIFY): ("ok", None),
     }
     for (mode, opt, seal), expect in cases.items():
-        out = run_scenario("S9", mode, ScenarioConfig(seal_mode=seal, opt_level=opt))
-        assert outcome_matches(out, expect), (mode, opt, seal, out)
+        out = run_scenario("S9", mode, ScenarioConfig(seal_mode=seal, opt_level=opt))["outcome"]
+        assert (out["kind"], out["fault"]) == expect, (mode, opt, seal, out)
 
 
 def test_s10_buggy_tag_fault_fixed_recovers():
-    out = run_scenario("S10", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.TAG
-    assert run_scenario("S10", "fixed").kind is OutcomeKind.OK
+    out = run_scenario("S10", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "tag"
+    assert run_scenario("S10", "fixed")["outcome"]["kind"] == "ok"
 
 
 def test_s11_prot_cap_matrix():
-    out = run_scenario("S11", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.TAG
-    assert run_scenario("S11", "fixed").kind is OutcomeKind.OK
+    out = run_scenario("S11", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "tag"
+    assert run_scenario("S11", "fixed")["outcome"]["kind"] == "ok"
 
 
 def test_s12_truncating_copy():
-    out = run_scenario("S12", "buggy")
-    assert out.kind is OutcomeKind.FAULT and out.fault is FaultKind.TAG
-    assert run_scenario("S12", "fixed").kind is OutcomeKind.OK
+    out = run_scenario("S12", "buggy")["outcome"]
+    assert out["kind"] == "fault" and out["fault"] == "tag"
+    assert run_scenario("S12", "fixed")["outcome"]["kind"] == "ok"
 
 
 def test_all_fixed_runs_ok_every_config():
@@ -234,8 +233,8 @@ def test_all_fixed_runs_ok_every_config():
         for seal in SealMode:
             for opt in ("O0", "O1"):
                 cfg = ScenarioConfig(seal_mode=seal, opt_level=opt)
-                out = run_scenario(sid, "fixed", cfg)
-                assert out.kind is OutcomeKind.OK, (sid, seal, opt, out)
+                out = run_scenario(sid, "fixed", cfg)["outcome"]
+                assert out["kind"] == "ok", (sid, seal, opt, out)
 
 
 def test_determinism():
@@ -248,17 +247,48 @@ def test_determinism():
 def test_seeds_change_data_not_outcome_kind():
     for seed in (0, 1, 2, 17):
         cfg = ScenarioConfig(seed=seed)
-        assert run_scenario("S4", "buggy", cfg).kind is OutcomeKind.CORRUPT
-        assert run_scenario("S10", "fixed", cfg).kind is OutcomeKind.OK
+        assert run_scenario("S4", "buggy", cfg)["outcome"]["kind"] == "corrupt"
+        assert run_scenario("S10", "fixed", cfg)["outcome"]["kind"] == "ok"
 
 
 def test_conservatism_gap():
     # an object reachable only through a pointer-like integer is marked
     # by neither variant: buggy faults, fixed skips it
-    buggy = run_scenario("S2", "buggy")
-    fixed = run_scenario("S2", "fixed")
-    assert buggy.kind is OutcomeKind.FAULT
-    assert fixed.kind is OutcomeKind.OK and "unmarked" in fixed.detail
+    buggy = run_scenario("S2", "buggy")["outcome"]
+    fixed = run_scenario("S2", "fixed")["outcome"]
+    assert buggy["kind"] == "fault"
+    assert fixed["kind"] == "ok" and "unmarked" in fixed["detail"]
+
+
+def test_run_matrix_records_are_run_scenarios_records():
+    # a cell has one representation: `run_matrix` appends what
+    # `run_scenario` returns, and copies or rebuilds none of it
+    spec = RunSpec(seed=7)
+    cells = [(sid, mode, cfg) for sid, record in CATALOGUE.items()
+             for mode in MODES for cfg in _configs_for(record, spec)]
+    assert run_matrix(spec)["records"] == [run_scenario(*cell) for cell in cells]
+
+
+# every faulting cell of `run_matrix(RunSpec())` at seed 0, in report order
+FAULTING_CELLS_AT_SEED_0 = [
+    # scenario, mode, seal_mode, opt_level, fault, detail
+    ("S1", "buggy", None, None, "bounds", "iteration 2"),
+    ("S2", "buggy", None, None, "tag", "marking value @0x40a0"),
+    ("S3", "buggy", None, None, "bounds", "write into the grown area via the old capability"),
+    ("S7", "buggy", "fault", None, "seal", "distance computation for init"),
+    ("S8", "buggy", "fault", None, "seal", "hash of sealed dispatch capability"),
+    ("S9", "buggy", "fault", "O0", "seal", "immediate test created a sealed temporary"),
+    ("S10", "buggy", None, None, "tag", "field load through the recovered container pointer"),
+    ("S11", "buggy", None, None, "tag", "dereference of the reloaded capability"),
+    ("S12", "buggy", None, None, "tag", "callee dereference of the copied argument"),
+]
+
+
+def test_the_faulting_cells_at_seed_0_are_pinned():
+    rows = [(r["scenario"], r["mode"], r["seal_mode"], r["opt_level"],
+             r["outcome"]["fault"], r["outcome"]["detail"])
+            for r in run_matrix(RunSpec())["records"] if r["outcome"]["kind"] == "fault"]
+    assert rows == FAULTING_CELLS_AT_SEED_0
 
 
 def test_catalogue_complete():

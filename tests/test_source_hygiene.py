@@ -12,9 +12,10 @@ outside a fixed set is worded only in `not_one_of`, and for a value not
 of a type only in `not_a`; a fault is raised with its check and
 operands, never its kind, and only `capability.FAULTS` pairs a check
 with its kind and wording; an outcome is an `OutcomeKind`, never a
-string tag; only the memory and the allocator's sweep know the tag side
-table's key format; a scenario runs on its one built-in input, so every
-runner takes `(vm, mode, cfg)` and `run_scenario` `(sid, mode, config)`."""
+string tag, until `run_scenario` renders the report record; only the
+memory names the tag side table; a scenario runs on its one built-in
+input, so every runner takes `(vm, mode, cfg)` and `run_scenario`
+`(sid, mode, config)`."""
 import ast
 from collections import defaultdict
 from pathlib import Path
